@@ -565,6 +565,20 @@ impl ClusterConfig {
         if self.workload.key_space == 0 {
             return Err("workload key_space must be positive".into());
         }
+        if let Some(theta) = self.workload.zipf_theta {
+            // Also rejects NaN and infinities: neither lies in the range.
+            if !(0.0..1.0).contains(&theta) {
+                return Err(format!(
+                    "workload zipf_theta must be within [0, 1), got {theta}"
+                ));
+            }
+        }
+        if !(0.0..=1.0).contains(&self.workload.read_ratio) {
+            return Err(format!(
+                "workload read_ratio must be within [0, 1], got {}",
+                self.workload.read_ratio
+            ));
+        }
         if self.txn_size == 0 {
             return Err("transaction size must be positive".into());
         }
@@ -641,6 +655,27 @@ mod tests {
         let mut cfg = ClusterConfig::micro21(DdpModel::baseline());
         cfg.txn_size = 0;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_bad_workloads_instead_of_panicking() {
+        let with = |theta: Option<f64>, read_ratio: f64| {
+            let mut cfg = ClusterConfig::micro21(DdpModel::baseline());
+            cfg.workload.zipf_theta = theta;
+            cfg.workload.read_ratio = read_ratio;
+            cfg.validate()
+        };
+        assert!(with(Some(0.0), 0.5).is_ok());
+        assert!(with(Some(0.99), 0.0).is_ok());
+        assert!(with(None, 1.0).is_ok());
+        for theta in [1.0, 1.5, -0.1, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = with(Some(theta), 0.5).expect_err("bad zipf_theta accepted");
+            assert!(err.contains("zipf_theta"), "{err}");
+        }
+        for ratio in [-0.01, 1.01, f64::NAN, f64::INFINITY] {
+            let err = with(Some(0.99), ratio).expect_err("bad read_ratio accepted");
+            assert!(err.contains("read_ratio"), "{err}");
+        }
     }
 
     #[test]

@@ -142,11 +142,14 @@ impl ClientPool {
     ) -> Self {
         assert!(count > 0, "need at least one client");
         assert!(nodes > 0, "need at least one node");
+        // One chooser for the whole pool: every client's stream draws from
+        // the same distribution, and a Zipfian costs O(key_space) to build.
+        let chooser = spec.chooser();
         let mut root = SimRng::seed_from(seed);
         let clients = (0..count)
             .map(|i| Client {
                 id: ClientId(i),
-                stream: spec.stream(root.fork(u64::from(i)).next_u64()),
+                stream: spec.stream_with(chooser.clone(), root.fork(u64::from(i)).next_u64()),
                 home_node: (i % u32::from(nodes)) as u8,
                 think_time,
                 rng: root.fork(0x5EED_0000 + u64::from(i)),
@@ -224,6 +227,24 @@ mod tests {
             let a = p1.client_mut(ClientId(i)).next_request();
             let b = p2.client_mut(ClientId(i)).next_request();
             assert_eq!(a, b);
+        }
+    }
+
+    #[test]
+    fn pooled_clients_match_independently_built_streams() {
+        // Each client once built its own chooser from the spec; the pool
+        // now shares one. Rebuild each stream the old way and compare.
+        let spec = WorkloadSpec::ycsb_a();
+        let seed = 42;
+        let mut pool = ClientPool::new(&spec, 100, 5, seed);
+        let mut root = SimRng::seed_from(seed);
+        for i in 0..100 {
+            let mut expected = spec.stream(root.fork(u64::from(i)).next_u64());
+            let _think_rng = root.fork(0x5EED_0000 + u64::from(i));
+            let client = pool.client_mut(ClientId(i));
+            for _ in 0..100 {
+                assert_eq!(client.next_request(), expected.next_request(), "client {i}");
+            }
         }
     }
 

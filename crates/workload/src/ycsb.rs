@@ -134,13 +134,44 @@ impl WorkloadSpec {
         self
     }
 
+    /// The key chooser this spec draws from: Zipfian over the key space
+    /// when `zipf_theta` is set, uniform otherwise. This is the only place
+    /// a spec's chooser is built.
+    ///
+    /// A Zipfian chooser costs O(`key_space`) to build (its `zeta`
+    /// normalizer), so callers that need many streams build it once and
+    /// pass clones to [`WorkloadSpec::stream_with`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key_space` is zero or `zipf_theta` is outside `[0, 1)`.
+    #[must_use]
+    pub fn chooser(&self) -> KeyChooser {
+        match self.zipf_theta {
+            Some(theta) => KeyChooser::Zipfian(Zipfian::new(self.key_space, theta)),
+            None => KeyChooser::Uniform { n: self.key_space },
+        }
+    }
+
     /// Builds an endless request stream seeded with `seed`.
     #[must_use]
     pub fn stream(&self, seed: u64) -> RequestStream {
-        let chooser = match self.zipf_theta {
-            Some(theta) => KeyChooser::Zipfian(Zipfian::new(self.key_space, theta)),
-            None => KeyChooser::Uniform { n: self.key_space },
-        };
+        self.stream_with(self.chooser(), seed)
+    }
+
+    /// Like [`WorkloadSpec::stream`], drawing keys from a prebuilt
+    /// `chooser`, which should be this spec's [`WorkloadSpec::chooser`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chooser` covers a different key space than the spec.
+    #[must_use]
+    pub fn stream_with(&self, chooser: KeyChooser, seed: u64) -> RequestStream {
+        assert_eq!(
+            chooser.key_space(),
+            self.key_space,
+            "chooser key space must match the workload's"
+        );
         RequestStream {
             rng: SimRng::seed_from(seed),
             chooser,
@@ -378,6 +409,66 @@ mod tests {
         assert!(
             crossed > groups * 9 / 10 && crossed <= groups,
             "implausible cross-shard count {crossed} of {groups}"
+        );
+    }
+
+    /// The three chooser shapes: YCSB-A (Zipf), uniform, and a grouped
+    /// shard slice of YCSB-A.
+    fn chooser_specs() -> [WorkloadSpec; 3] {
+        use crate::shard::{Placement, ShardRouter, ShardSlice};
+        let router = ShardRouter::new(Placement::Hash, 4, DEFAULT_KEY_SPACE);
+        [
+            WorkloadSpec::ycsb_a(),
+            WorkloadSpec {
+                zipf_theta: None,
+                ..WorkloadSpec::ycsb_a()
+            },
+            WorkloadSpec::ycsb_a().with_shard(ShardSlice::new(router, 2).with_group(5)),
+        ]
+    }
+
+    #[test]
+    fn prebuilt_chooser_streams_match_fresh_streams() {
+        for spec in chooser_specs() {
+            let chooser = spec.chooser();
+            for seed in [1, 0xDD9] {
+                let mut fresh = spec.stream(seed);
+                let mut shared = spec.stream_with(chooser.clone(), seed);
+                let a: Vec<Request> = fresh.by_ref().take(10_000).collect();
+                let b: Vec<Request> = shared.by_ref().take(10_000).collect();
+                assert_eq!(a, b, "{} seed {seed}", spec.name);
+                assert_eq!(fresh.cross_shard_groups(), shared.cross_shard_groups());
+            }
+        }
+    }
+
+    /// FNV-1a over the first 10 000 requests of `spec.stream(seed)`.
+    fn stream_digest(spec: &WorkloadSpec, seed: u64) -> u64 {
+        spec.stream(seed)
+            .take(10_000)
+            .flat_map(|r| {
+                let op = u64::from(r.op == OpKind::Write);
+                [r.key, op, u64::from(r.value_bytes)]
+            })
+            .fold(0xCBF2_9CE4_8422_2325, |h: u64, x| {
+                (h ^ x).wrapping_mul(0x0000_0100_0000_01B3)
+            })
+    }
+
+    #[test]
+    fn stream_contents_are_pinned() {
+        // Any change to the chooser or the draw order shows up here first:
+        // every simulated run is built from these streams. The values are
+        // those of the per-stream chooser construction this replaced.
+        let digests = chooser_specs().map(|spec| stream_digest(&spec, 0xDD9));
+        assert_eq!(
+            digests,
+            [
+                0x91be_2308_48f3_b366,
+                0x8a2a_5e16_59cb_7e3f,
+                0x296b_00c9_c318_a5e0
+            ],
+            "{digests:#x?}"
         );
     }
 

@@ -31,6 +31,9 @@ pub struct Zipfian {
     zeta_n: f64,
     eta: f64,
     zeta2: f64,
+    /// `uz` below this (and at least 1) draws rank 1: `1 + 0.5^theta`,
+    /// computed once here rather than on every draw.
+    rank1_below: f64,
 }
 
 impl Zipfian {
@@ -57,6 +60,7 @@ impl Zipfian {
             zeta_n,
             eta,
             zeta2,
+            rank1_below: 1.0 + 0.5f64.powf(theta),
         }
     }
 
@@ -94,7 +98,7 @@ impl Zipfian {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < self.rank1_below {
             return 1;
         }
         let rank = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;

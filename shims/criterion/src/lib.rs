@@ -5,8 +5,11 @@
 //! workspace's `harness = false` benches — `Criterion::bench_function`,
 //! `benchmark_group`, `Bencher::iter`/`iter_batched`, `BatchSize`, and the
 //! `criterion_group!`/`criterion_main!` macros — with a simple wall-clock
-//! measurement loop that prints mean ns/iter per benchmark. No statistics,
-//! plots, or baselines; results are indicative, not rigorous.
+//! measurement loop. The time budget is split into ten timed samples;
+//! each benchmark prints its mean ns/iter and the min / median / max of
+//! the per-sample ns/iter beside it, so a difference can be set against
+//! the spread. No outlier analysis, plots, or baselines; results are
+//! indicative, not rigorous.
 
 #![forbid(unsafe_code)]
 // Timing real benchmark runs is this shim's entire purpose, so the
@@ -17,6 +20,16 @@ use std::time::{Duration, Instant};
 
 /// Target wall-clock time spent measuring each benchmark.
 const MEASURE_BUDGET: Duration = Duration::from_millis(300);
+
+/// Timed samples per `iter`/`iter_batched` call; the budget is split evenly.
+const SAMPLES: usize = 10;
+
+/// Iterations per sample that fill one sample's share of the budget, given
+/// the duration of one untimed warm-up call.
+fn iters_per_sample(once: Duration) -> u64 {
+    let share = MEASURE_BUDGET.as_nanos() / SAMPLES as u128;
+    (share / once.as_nanos().max(1)).clamp(1, 1_000) as u64
+}
 
 /// Re-export of `std::hint::black_box` under criterion's name.
 pub fn black_box<T>(x: T) -> T {
@@ -47,7 +60,7 @@ impl Criterion {
         self
     }
 
-    /// Runs `f` as a named benchmark and prints its mean time.
+    /// Runs `f` as a named benchmark and prints its timing summary.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
         run_one(name, &mut f);
         self
@@ -79,7 +92,7 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Runs `f` as `group/name` and prints its mean time.
+    /// Runs `f` as `group/name` and prints its timing summary.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
         run_one(&format!("{}/{}", self.name, name), &mut f);
         self
@@ -89,27 +102,46 @@ impl BenchmarkGroup<'_> {
     pub fn finish(self) {}
 }
 
-/// Passed to benchmark closures; collects the timed iterations.
+/// Passed to benchmark closures; collects the timed samples.
 #[derive(Debug, Default)]
 pub struct Bencher {
     iters: u64,
     elapsed: Duration,
+    /// ns/iter of each timed sample.
+    samples: Vec<f64>,
+}
+
+/// Statistics of one benchmark's timed samples, in ns/iter.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Summary {
+    /// Total elapsed time over total iterations.
+    mean: f64,
+    /// Fastest sample.
+    min: f64,
+    /// Median sample (mean of the middle two for an even count).
+    median: f64,
+    /// Slowest sample.
+    max: f64,
+    /// Number of timed samples.
+    samples: usize,
+    /// Total timed iterations.
+    iters: u64,
 }
 
 impl Bencher {
     /// Times repeated calls of `routine`.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
-        // One untimed warmup to page code in and size the loop.
+        // One untimed warmup to page code in and size the samples.
         let start = Instant::now();
         black_box(routine());
-        let once = start.elapsed().max(Duration::from_nanos(1));
-        let per_batch = (MEASURE_BUDGET.as_nanos() / once.as_nanos()).clamp(1, 10_000) as u64;
-        let start = Instant::now();
-        for _ in 0..per_batch {
-            black_box(routine());
+        let per_sample = iters_per_sample(start.elapsed());
+        for _ in 0..SAMPLES {
+            let start = Instant::now();
+            for _ in 0..per_sample {
+                black_box(routine());
+            }
+            self.record(start.elapsed(), per_sample);
         }
-        self.elapsed += start.elapsed();
-        self.iters += per_batch;
     }
 
     /// Times `routine` over fresh inputs built by `setup` (setup untimed).
@@ -121,27 +153,58 @@ impl Bencher {
         let input = setup();
         let start = Instant::now();
         black_box(routine(input));
-        let once = start.elapsed().max(Duration::from_nanos(1));
-        let per_batch = (MEASURE_BUDGET.as_nanos() / once.as_nanos()).clamp(1, 10_000) as u64;
-        let inputs: Vec<I> = (0..per_batch).map(|_| setup()).collect();
-        let start = Instant::now();
-        for input in inputs {
-            black_box(routine(input));
+        let per_sample = iters_per_sample(start.elapsed());
+        for _ in 0..SAMPLES {
+            let inputs: Vec<I> = (0..per_sample).map(|_| setup()).collect();
+            let start = Instant::now();
+            for input in inputs {
+                black_box(routine(input));
+            }
+            self.record(start.elapsed(), per_sample);
         }
-        self.elapsed += start.elapsed();
-        self.iters += per_batch;
+    }
+
+    fn record(&mut self, elapsed: Duration, iters: u64) {
+        self.elapsed += elapsed;
+        self.iters += iters;
+        self.samples.push(elapsed.as_nanos() as f64 / iters as f64);
+    }
+
+    /// Statistics over the samples taken so far; `None` before any.
+    fn summary(&self) -> Option<Summary> {
+        let mut sorted = self.samples.clone();
+        sorted.sort_by(f64::total_cmp);
+        let n = sorted.len();
+        if n == 0 {
+            return None;
+        }
+        let median = if n % 2 == 1 {
+            sorted[n / 2]
+        } else {
+            (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
+        };
+        Some(Summary {
+            mean: self.elapsed.as_nanos() as f64 / self.iters as f64,
+            min: sorted[0],
+            median,
+            max: sorted[n - 1],
+            samples: n,
+            iters: self.iters,
+        })
     }
 }
 
 fn run_one(name: &str, f: &mut dyn FnMut(&mut Bencher)) {
     let mut b = Bencher::default();
     f(&mut b);
-    let per_iter = if b.iters == 0 {
-        0
-    } else {
-        b.elapsed.as_nanos() / u128::from(b.iters)
-    };
-    println!("{name:<40} {per_iter:>12} ns/iter ({} iters)", b.iters);
+    match b.summary() {
+        None => println!("{name:<40} (no samples)"),
+        Some(s) => println!(
+            "{name:<40} {:>12.0} ns/iter  min {:.0} / median {:.0} / max {:.0} \
+             ({} samples, {} iters)",
+            s.mean, s.min, s.median, s.max, s.samples, s.iters
+        ),
+    }
 }
 
 /// Declares a function running each benchmark target in order.
@@ -178,6 +241,31 @@ mod tests {
             ran = true;
         });
         assert!(ran);
+    }
+
+    #[test]
+    fn summary_orders_min_median_max() {
+        let mut b = Bencher::default();
+        assert_eq!(b.summary(), None);
+        b.iter(|| black_box(3u64).pow(2));
+        let s = b.summary().unwrap();
+        assert_eq!(s.samples, SAMPLES);
+        assert!(s.iters >= SAMPLES as u64);
+        assert!(s.min <= s.median && s.median <= s.max, "{s:?}");
+        assert!(s.min <= s.mean && s.mean <= s.max, "{s:?}");
+    }
+
+    #[test]
+    fn summary_statistics_of_known_samples() {
+        let mut b = Bencher::default();
+        for ns in [40, 10, 30, 20] {
+            b.record(Duration::from_nanos(ns * 2), 2);
+        }
+        let s = b.summary().unwrap();
+        assert_eq!((s.min, s.median, s.max), (10.0, 25.0, 40.0));
+        assert_eq!((s.mean, s.samples, s.iters), (25.0, 4, 8));
+        b.record(Duration::from_nanos(50), 1);
+        assert_eq!(b.summary().unwrap().median, 30.0);
     }
 
     #[test]
