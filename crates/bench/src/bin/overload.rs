@@ -35,7 +35,7 @@
 //! overload sweep and prints goodput as mean ±stddev.
 
 use ddp_core::{ClusterConfig, DdpModel, OpenLoopPlan, TimelineWindow};
-use ddp_harness::{print_rule, ratio, run_sweep_instrumented, Harness, Sweep};
+use ddp_harness::{print_rule, ratio, run_sweep, Harness, Sweep};
 use ddp_sim::Duration;
 
 /// Default offered-load points, as multiples of each model's measured
@@ -399,7 +399,7 @@ fn main() {
             timeline_config(model, plan, capacity, quick),
         );
     }
-    let explain = run_sweep_instrumented("overload", explain_sweep, harness.args().threads);
+    let explain = run_sweep("overload", explain_sweep, harness.args().threads);
 
     println!("\nPart 5 - knee attribution (first phase whose per-window share saturates at x{knee_mult})");
     println!(
@@ -408,8 +408,8 @@ fn main() {
     );
     print_rule(5);
     for model in DdpModel::all() {
-        let base_dump = explain[model.grid_index() * 3].2.as_ref();
-        let knee_dump = explain[model.grid_index() * 3 + 1].2.as_ref();
+        let base_dump = explain[model.grid_index() * 3].timelines.first();
+        let knee_dump = explain[model.grid_index() * 3 + 1].timelines.first();
         let (Some(base_dump), Some(knee_dump)) = (base_dump, knee_dump) else {
             println!("{:<28} {:>14}", model.to_string(), "(no timeline)");
             continue;
@@ -445,7 +445,7 @@ fn main() {
     );
     print_rule(8);
     for model in DdpModel::all() {
-        let Some(dump) = explain[model.grid_index() * 3 + 2].2.as_ref() else {
+        let Some(dump) = explain[model.grid_index() * 3 + 2].timelines.first() else {
             println!("{:<28} {:>6}", model.to_string(), "-");
             continue;
         };

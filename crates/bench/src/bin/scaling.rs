@@ -16,17 +16,16 @@
 //! shard-imbalance index (max/mean completed requests) next to the count
 //! of transaction groups the router had to re-home across shards.
 //!
-//! `--shards S1,S2,…` overrides the swept shard counts (default 1,2,4,8);
-//! `--json PATH` writes one `fleet_record` line per trial; `--trace PATH`
-//! streams per-shard event traces with a leading `shard` field;
-//! `--timeline PATH` streams per-shard timeline windows the same way.
+//! `--shards S1,S2,…` overrides the swept shard counts (default 1,2,4,8).
+//! Every trial runs through [`Harness::run`], so the shared flags behave
+//! as in every other bin: `--json PATH` writes one record per trial
+//! (sharded ones followed by their per-shard breakdown), `--csv PATH` the
+//! same records as CSV, `--store NAME` overrides the backend, and
+//! `--trace PATH` / `--timeline PATH` stream one event / window stream
+//! per shard, each line led by a `shard` field.
 
-use ddp_core::{ClusterConfig, DdpModel, FleetConfig, Placement};
-use ddp_harness::{
-    fleet_record_to_json, fleet_timeline_end_to_json, fleet_timeline_window_to_json,
-    fleet_trace_end_to_json, fleet_trace_event_to_json, print_rule, run_fleet_sweep_instrumented,
-    FleetRecord, FleetSweep, Harness, HarnessArgs,
-};
+use ddp_core::{ClusterConfig, DdpModel, Placement};
+use ddp_harness::{print_rule, Harness, HarnessArgs, RunRecord, Sweep};
 
 /// Default swept shard counts.
 const SHARD_COUNTS: [u16; 4] = [1, 2, 4, 8];
@@ -49,32 +48,6 @@ fn skewed_config(model: DdpModel) -> ClusterConfig {
     cfg
 }
 
-/// Applies the shared flags to a fleet trial's base config (the fleet
-/// counterpart of what [`Harness::run`] does to a [`Sweep`]): `--quick`
-/// shortens the run, `--trace` enables per-shard event tracing,
-/// `--timeline` enables the per-shard windowed timeline.
-fn apply_flags(cfg: ClusterConfig, args: &HarnessArgs) -> ClusterConfig {
-    let mut cfg = if args.quick { cfg.quick() } else { cfg };
-    if args.trace.is_some() || args.timeline.is_some() {
-        let mut trace_cfg = if args.trace.is_some() {
-            ddp_core::TraceConfig::enabled()
-        } else {
-            ddp_core::TraceConfig::default()
-        };
-        if let Some(ns) = args.trace_sample {
-            trace_cfg = trace_cfg.with_sample_interval(ddp_sim::Duration::from_nanos(ns));
-        }
-        if args.timeline.is_some() {
-            let ns = args
-                .window_ns
-                .unwrap_or(ddp_harness::exec::DEFAULT_WINDOW_NS);
-            trace_cfg = trace_cfg.with_timeline(ddp_sim::Duration::from_nanos(ns));
-        }
-        cfg = cfg.with_trace(trace_cfg);
-    }
-    cfg
-}
-
 /// Weak-scales a base config to `s` shards: the fleet totals grow with
 /// the shard count so the apportionment hands every shard the same
 /// per-shard problem size the single-shard baseline ran. Applied after
@@ -83,52 +56,26 @@ fn weak_scale(mut cfg: ClusterConfig, s: u16) -> ClusterConfig {
     cfg.clients *= u32::from(s);
     cfg.warmup_requests *= u64::from(s);
     cfg.measured_requests *= u64::from(s);
-    cfg
+    cfg.with_shards(s)
 }
 
-/// Runs one fleet sweep and streams its records (and, under `--trace` /
-/// `--timeline`, its per-shard event and window streams) through the
-/// harness writers.
-fn run_scaling_sweep(harness: &mut Harness, sweep: FleetSweep) -> Vec<FleetRecord> {
-    let results = run_fleet_sweep_instrumented("scaling", sweep, harness.args().threads);
-    let mut records = Vec::with_capacity(results.len());
-    for (record, dumps, timelines) in results {
-        for (shard, dump) in &dumps {
-            for event in &dump.events {
-                harness.emit_trace_line(&fleet_trace_event_to_json(record.index, *shard, event));
-            }
-            harness.emit_trace_line(&fleet_trace_end_to_json(
-                record.index,
-                *shard,
-                &record.label,
-                dump,
-            ));
-        }
-        for (shard, dump) in &timelines {
-            for (k, w) in dump.windows.iter().enumerate() {
-                harness.emit_timeline_line(&fleet_timeline_window_to_json(
-                    record.index,
-                    *shard,
-                    k,
-                    w,
-                ));
-            }
-            harness.emit_timeline_line(&fleet_timeline_end_to_json(
-                record.index,
-                *shard,
-                &record.label,
-                dump,
-            ));
-        }
-        harness.emit_json_line(&fleet_record_to_json(&record));
-        records.push(record);
-    }
-    records
+/// A record's shard-imbalance index (1.0 for a single replica group).
+fn imbalance(r: &RunRecord) -> f64 {
+    r.shards.as_ref().map_or(1.0, |b| b.imbalance)
+}
+
+/// A record's re-homed cross-shard groups (none for a single group).
+fn cross_shard_groups(r: &RunRecord) -> u64 {
+    r.shards.as_ref().map_or(0, |b| b.cross_shard_groups)
 }
 
 fn main() {
-    let mut harness = Harness::from_env("scaling");
-    let args = harness.args().clone();
+    // `--quick` must shrink each trial before weak scaling multiplies it,
+    // so the bin applies it itself and the harness sees a full-size sweep.
+    let mut args = HarnessArgs::from_env("scaling");
+    let quick = std::mem::take(&mut args.quick);
+    let sized = |cfg: ClusterConfig| if quick { cfg.quick() } else { cfg };
+    let mut harness = Harness::new("scaling", args.clone());
     let shard_counts: Vec<u16> = if args.shards.is_empty() {
         SHARD_COUNTS.to_vec()
     } else {
@@ -137,22 +84,19 @@ fn main() {
     if args.seeds > 1 {
         eprintln!("[scaling] note: --seeds is not supported for fleet sweeps; running one seed");
     }
-    if args.csv.is_some() {
-        eprintln!("[scaling] note: --csv is not supported for fleet records; use --json");
-    }
     println!("Sharded keyspace scaling: 25 DDP models over a fleet of replica groups\n");
 
     // Part 1 grid: model-major, shard-count-minor, uniform YCSB-A.
-    let mut curve_sweep = FleetSweep::new();
+    let mut curve_sweep = Sweep::new();
     for model in DdpModel::all() {
         for &s in &shard_counts {
             curve_sweep.push(
                 format!("{model} S={s}"),
-                FleetConfig::new(weak_scale(apply_flags(uniform_config(model), &args), s), s),
+                weak_scale(sized(uniform_config(model)), s),
             );
         }
     }
-    let curve_records = run_scaling_sweep(&mut harness, curve_sweep);
+    let curve_records = harness.run(curve_sweep);
     let stride = shard_counts.len();
 
     println!("Part 1 - uniform YCSB-A: aggregate throughput vs shard count");
@@ -170,7 +114,7 @@ fn main() {
         for r in row {
             print!(" {:>8.2}", r.summary.throughput / base);
         }
-        println!(" {:>9.3}", row[stride - 1].imbalance);
+        println!(" {:>9.3}", imbalance(&row[stride - 1]));
         // Monotone within a 2 % tolerance band (shard splits reseed the
         // workload, so neighbouring counts carry a little sampling noise).
         if row
@@ -194,17 +138,18 @@ fn main() {
     // range placement.
     let top = *shard_counts.iter().max().expect("at least one shard count");
     let placements = [Placement::Hash, Placement::Range];
-    let mut imbalance_sweep = FleetSweep::new();
+    let mut imbalance_sweep = Sweep::new();
     for model in DdpModel::all() {
         for placement in placements {
             imbalance_sweep.push(
                 format!("{model} S={top} {placement}"),
-                FleetConfig::new(apply_flags(skewed_config(model), &args), top)
+                sized(skewed_config(model))
+                    .with_shards(top)
                     .with_placement(placement),
             );
         }
     }
-    let imbalance_records = run_scaling_sweep(&mut harness, imbalance_sweep);
+    let imbalance_records = harness.run(imbalance_sweep);
 
     println!("\nPart 2 - Zipf-skewed YCSB-A at S={top}: hash vs range placement");
     println!(
@@ -218,10 +163,10 @@ fn main() {
         println!(
             "{:<28} {:>10.3} {:>10.3} {:>10} {:>10} {:>10.2}",
             model.to_string(),
-            hash.imbalance,
-            range.imbalance,
-            hash.cross_shard_groups,
-            range.cross_shard_groups,
+            imbalance(hash),
+            imbalance(range),
+            cross_shard_groups(hash),
+            cross_shard_groups(range),
             hash.summary.throughput / 1e6
         );
     }

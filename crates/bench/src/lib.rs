@@ -29,4 +29,4 @@
 //! substrate crates (`cargo bench --workspace`).
 
 #![forbid(unsafe_code)]
-pub use ddp_harness::{bar, figure_config, measure, measure_sim, print_row, print_rule};
+pub use ddp_harness::{bar, figure_config, print_row, print_rule};

@@ -5,7 +5,7 @@ use ddp_net::NetworkParams;
 use ddp_sim::Duration;
 use ddp_store::StoreKind;
 use ddp_trace::TraceConfig;
-use ddp_workload::{ArrivalProcess, WorkloadSpec};
+use ddp_workload::{ArrivalProcess, Placement, WorkloadSpec};
 
 use crate::model::DdpModel;
 
@@ -350,7 +350,13 @@ impl OpenLoopPlan {
 ///
 /// Defaults reproduce the paper's setup: 5 servers, 20 clients per server
 /// (100 total), YCSB-A, Table 5 memory and network parameters, transactions
-/// of 5 requests and scopes of 10 requests (§7).
+/// of 5 requests and scopes of 10 requests (§7), on one replica group.
+///
+/// With `shards > 1` the configuration describes a fleet of independent
+/// replica groups instead, and `clients`, `warmup_requests`,
+/// `measured_requests` and the open-loop offered rate become fleet totals
+/// split across the groups in proportion to their key popularity (see
+/// [`crate::fleet`]).
 ///
 /// # Examples
 ///
@@ -422,6 +428,12 @@ pub struct ClusterConfig {
     /// Event tracing and gauge sampling; inert by default. The tracer is
     /// read-only: enabling it changes the trace output and nothing else.
     pub trace: TraceConfig,
+    /// Number of shards: independent replica groups, each running the full
+    /// protocol over its slice of the key space (1, the default, is the
+    /// paper's single group).
+    pub shards: u16,
+    /// How keys map to shards; only consulted when `shards > 1`.
+    pub placement: Placement,
 }
 
 impl ClusterConfig {
@@ -452,6 +464,8 @@ impl ClusterConfig {
             faults: FaultPlan::none(),
             compaction: CompactionConfig::default(),
             trace: TraceConfig::default(),
+            shards: 1,
+            placement: Placement::Hash,
         }
     }
 
@@ -509,6 +523,20 @@ impl ClusterConfig {
     #[must_use]
     pub fn with_trace(mut self, trace: TraceConfig) -> Self {
         self.trace = trace;
+        self
+    }
+
+    /// Splits the run over `shards` replica groups (see [`crate::fleet`]).
+    #[must_use]
+    pub fn with_shards(mut self, shards: u16) -> Self {
+        self.shards = shards;
+        self
+    }
+
+    /// Sets the key→shard placement.
+    #[must_use]
+    pub fn with_placement(mut self, placement: Placement) -> Self {
+        self.placement = placement;
         self
     }
 
@@ -614,6 +642,45 @@ impl ClusterConfig {
         }
         if self.trace.timeline_window.is_some() && self.trace.timeline_max_windows == 0 {
             return Err("trace timeline_max_windows must be positive".into());
+        }
+        self.validate_shards()
+    }
+
+    /// The shard checks of [`ClusterConfig::validate`]: every shard must
+    /// own a key and get at least one client (one session slot per node
+    /// on open loops) and one measured request.
+    fn validate_shards(&self) -> Result<(), String> {
+        if self.shards == 0 {
+            return Err("need at least one shard".into());
+        }
+        let shards = u64::from(self.shards);
+        if self.workload.key_space < shards {
+            return Err(format!(
+                "key space {} smaller than shard count {}",
+                self.workload.key_space, self.shards
+            ));
+        }
+        if u64::from(self.clients) < shards {
+            return Err(format!(
+                "{} clients cannot cover {} shards (need at least one per shard)",
+                self.clients, self.shards
+            ));
+        }
+        if self.open_loop.is_some() {
+            let slots_needed = shards * u64::from(self.nodes);
+            if u64::from(self.clients) < slots_needed {
+                return Err(format!(
+                    "open-loop shards need one session slot per node per shard: \
+                     {} clients < {} shards x {} nodes",
+                    self.clients, self.shards, self.nodes
+                ));
+            }
+        }
+        if self.measured_requests < shards {
+            return Err(format!(
+                "{} measured requests cannot cover {} shards",
+                self.measured_requests, self.shards
+            ));
         }
         Ok(())
     }

@@ -1,53 +1,47 @@
-//! A fleet of shards: many independent replica groups on one event loop.
+//! Shards: many independent replica groups in one simulation.
 //!
 //! The paper evaluates one replica group — every node holds every key.
 //! Real deployments shard: the key space splits over `S` independent
 //! groups, each running the full DDP protocol for its slice of the keys.
-//! This module scales the single-[`Cluster`] core out to such a fleet
-//! while preserving the repo's central invariant — byte-identical results
-//! for a given config at any host thread count:
+//! A [`ClusterConfig`] with `shards > 1` describes such a fleet, and
+//! [`Simulation`] runs it on its one event loop while preserving the
+//! repo's central invariant — byte-identical results for a given config at
+//! any host thread count:
 //!
-//! * [`FleetConfig`] sits above [`ClusterConfig`]: shard count, key→shard
-//!   placement, and the rule for deriving each shard's cluster config from
-//!   the fleet-wide template (per-shard seeds, popularity-proportional
-//!   client/request/rate splits, per-shard workload slices).
-//! * [`Fleet`] owns `S` [`Cluster`] instances and multiplexes them over
-//!   ONE simulator event loop by wrapping every protocol [`Event`] in a
-//!   [`FleetEvent`] carrying its home shard. Inner clusters run against a
-//!   buffered [`Context`] (see [`Context::buffered`]); their scheduled
-//!   events are forwarded to the shared queue in push order, so FIFO
-//!   tie-breaking at equal timestamps matches what each cluster would see
-//!   running alone. A fleet of one shard is therefore *event-for-event
-//!   identical* to a plain [`Simulation`] of the same config.
-//! * [`FleetSimulation`] drives the run and aggregates per-shard
-//!   [`RunStats`] into a fleet-level [`FleetReport`]: pooled latency
-//!   histograms, a union measured window, a shard-imbalance index, and
-//!   the count of transaction groups that would have crossed shards.
+//! * `ClusterConfig::into_shards` derives each shard's one-group config
+//!   from the fleet-wide template: per-shard seeds, popularity-proportional
+//!   client/request/rate splits, and per-shard workload slices. At one
+//!   shard it returns the template untouched, with mass `[1.0]`.
+//! * [`Simulation`] builds one [`Cluster`] per shard and tags every queue
+//!   entry with its shard's lane (see [`ddp_sim::Context::lane`]), so each
+//!   dispatch goes straight to its home cluster and equal-time events keep
+//!   their FIFO order across shards.
+//! * A sharded run's summary pools the shards' statistics (histograms
+//!   merged, counters summed, measured windows unioned), and its
+//!   [`ShardBreakdown`] carries what pooling hides: per-shard completions
+//!   and throughput, the offered popularity mass, a shard-imbalance index,
+//!   and the count of transaction groups that would have crossed shards.
 //!
 //! Cross-shard transactions are out of scope for the protocol layer (each
 //! shard's group runs its own coordination); the workload layer re-homes
 //! would-be cross-shard groups onto their anchor's shard and counts them
-//! (see [`ShardSlice`]), so the report quantifies what single-shard
+//! (see [`ShardSlice`]), so the breakdown quantifies what single-shard
 //! routing rejected.
 //!
 //! [`Simulation`]: crate::protocol::Simulation
 
 use crate::config::ClusterConfig;
-use crate::model::{Consistency, DdpModel, Persistency};
-use crate::protocol::{Cluster, Event};
+use crate::model::{Consistency, Persistency};
+use crate::protocol::Cluster;
 use crate::stats::{RunStats, RunSummary};
-use ddp_net::NodeId;
-use ddp_sim::{Context, Duration, Engine, Model, SimTime};
-use ddp_trace::{TimelineDump, TraceDump};
-use ddp_workload::{ClientId, Placement, ShardRouter, ShardSlice};
+use ddp_workload::{Placement, ShardRouter, ShardSlice};
 
 /// Seed stride for deriving per-shard seeds from the fleet seed: shard `s`
 /// runs with `seed ^ (s * SHARD_SEED_STRIDE)`. Shard 0 keeps the fleet
-/// seed unchanged, so a one-shard fleet replays the single-cluster run
-/// exactly. Deliberately a different odd constant from the harness's
-/// seed-replica stride (`0x9E37_79B9_7F4A_7C15`): XOR-derived strides
-/// compose, and equal strides would alias `(replica r, shard s)` with
-/// `(replica s, shard r)`.
+/// seed unchanged. Deliberately a different odd constant from the
+/// harness's seed-replica stride (`0x9E37_79B9_7F4A_7C15`): XOR-derived
+/// strides compose, and equal strides would alias `(replica r, shard s)`
+/// with `(replica s, shard r)`.
 pub const SHARD_SEED_STRIDE: u64 = 0xD6E8_FEB8_6659_FD93;
 
 /// Per-shard seed for shard `s` of a fleet seeded with `fleet_seed`.
@@ -56,160 +50,83 @@ pub fn shard_seed(fleet_seed: u64, shard: u16) -> u64 {
     fleet_seed ^ u64::from(shard).wrapping_mul(SHARD_SEED_STRIDE)
 }
 
-/// Configuration of a sharded fleet: a fleet-wide cluster template plus
-/// the shard count and key→shard placement.
-///
-/// The template's `clients`, `warmup_requests`, `measured_requests`, and
-/// open-loop `offered_per_sec` are **fleet totals**; [`FleetConfig::shard_configs`]
-/// splits them across shards in proportion to each shard's popularity
-/// mass, so a skewed workload loads shards unevenly — exactly the
-/// imbalance the scaling sweeps measure.
-#[derive(Clone, Debug)]
-pub struct FleetConfig {
-    /// The fleet-wide cluster template (totals, not per-shard values).
-    pub base: ClusterConfig,
-    /// Number of shards (independent replica groups).
-    pub shards: u16,
-    /// How keys map to shards.
-    pub placement: Placement,
-}
-
-impl FleetConfig {
-    /// A fleet of `shards` replica groups over the `base` template, with
-    /// hash placement.
-    #[must_use]
-    pub fn new(base: ClusterConfig, shards: u16) -> Self {
-        FleetConfig {
-            base,
-            shards,
-            placement: Placement::Hash,
-        }
-    }
-
-    /// Sets the key→shard placement.
-    #[must_use]
-    pub fn with_placement(mut self, placement: Placement) -> Self {
-        self.placement = placement;
-        self
-    }
-
-    /// Validates the fleet shape on top of the template's own
-    /// [`ClusterConfig::validate`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first problem found: a degenerate
-    /// shard count, a key space too small to give every shard a key, or
-    /// too few clients (or measured requests) to give every shard a
-    /// share.
-    pub fn validate(&self) -> Result<(), String> {
-        self.base.validate()?;
-        if self.shards == 0 {
-            return Err("fleet needs at least one shard".into());
-        }
-        let shards = u64::from(self.shards);
-        if self.base.workload.key_space < shards {
-            return Err(format!(
-                "key space {} smaller than shard count {}",
-                self.base.workload.key_space, self.shards
-            ));
-        }
-        if u64::from(self.base.clients) < shards {
-            return Err(format!(
-                "{} clients cannot cover {} shards (need at least one per shard)",
-                self.base.clients, self.shards
-            ));
-        }
-        if self.base.open_loop.is_some() {
-            let slots_needed = shards * u64::from(self.base.nodes);
-            if u64::from(self.base.clients) < slots_needed {
-                return Err(format!(
-                    "open-loop fleets need one session slot per node per shard: \
-                     {} clients < {} shards x {} nodes",
-                    self.base.clients, self.shards, self.base.nodes
-                ));
-            }
-        }
-        if self.base.measured_requests < shards {
-            return Err(format!(
-                "{} measured requests cannot cover {} shards",
-                self.base.measured_requests, self.shards
-            ));
-        }
-        Ok(())
-    }
-
-    /// The key→shard placement function this fleet uses.
-    #[must_use]
-    pub fn router(&self) -> ShardRouter {
-        ShardRouter::new(self.placement, self.shards, self.base.workload.key_space)
+impl ClusterConfig {
+    /// The key→shard placement function this config uses.
+    fn router(&self) -> ShardRouter {
+        ShardRouter::new(self.placement, self.shards, self.workload.key_space)
     }
 
     /// The fraction of key draws homed on each shard (sums to 1); see
-    /// [`ShardRouter::popularity_mass`].
-    #[must_use]
-    pub fn popularity_mass(&self) -> Vec<f64> {
-        self.router().popularity_mass(&self.base.workload.chooser())
+    /// [`ShardRouter::popularity_mass`]. A single shard owns everything,
+    /// so one shard takes `[1.0]` without sampling.
+    fn popularity_mass(&self) -> Vec<f64> {
+        if self.shards == 1 {
+            return vec![1.0];
+        }
+        self.router().popularity_mass(&self.workload.chooser())
     }
 
     /// Requests per transaction group for cross-shard accounting:
     /// transactions group `txn_size` requests, Scope persistency groups
     /// `scope_size`, everything else is ungrouped.
     fn group_size(&self) -> u32 {
-        if self.base.model.consistency == Consistency::Transactional {
-            self.base.txn_size
-        } else if self.base.model.persistency == Persistency::Scope {
-            self.base.scope_size
+        if self.model.consistency == Consistency::Transactional {
+            self.txn_size
+        } else if self.model.persistency == Persistency::Scope {
+            self.scope_size
         } else {
             1
         }
     }
 
-    /// Derives the per-shard cluster configurations.
+    /// Splits a validated config into one single-group config per shard,
+    /// returned with the popularity mass each shard was provisioned for.
     ///
-    /// A one-shard fleet returns the template untouched (no workload
-    /// slice, same seed), which is what makes `--shards 1` byte-identical
-    /// to a single-cluster run. For `S > 1`, shard `s` gets:
+    /// One shard returns the template untouched (no workload slice, same
+    /// seed) with mass `[1.0]`. For `S > 1`, shard `s` gets:
     ///
-    /// * seed `shard_seed(base.seed, s)` — independent RNG streams;
-    /// * a popularity-proportional share of the fleet's clients, warm-up
-    ///   and measured requests (largest-remainder apportionment; every
-    ///   shard keeps at least one client, or `nodes` session slots on
-    ///   open loops), and of the open-loop offered rate;
+    /// * seed `shard_seed(seed, s)` — independent RNG streams;
+    /// * a popularity-proportional share of the clients, warm-up and
+    ///   measured requests (largest-remainder apportionment; every shard
+    ///   keeps at least one client, or `nodes` session slots on open
+    ///   loops), and of the open-loop offered rate;
     /// * a [`ShardSlice`] restricting its workload to keys homed on `s`
-    ///   and counting rejected cross-shard groups.
-    #[must_use]
-    pub fn shard_configs(&self) -> Vec<ClusterConfig> {
+    ///   and counting rejected cross-shard groups;
+    /// * `shards = 1`: each derived config describes one group.
+    pub(crate) fn into_shards(self) -> (Vec<ClusterConfig>, Vec<f64>) {
         if self.shards == 1 {
-            return vec![self.base.clone()];
+            return (vec![self], vec![1.0]);
         }
         let mass = self.popularity_mass();
         let router = self.router();
         let group = self.group_size();
-        let min_clients = if self.base.open_loop.is_some() {
-            u64::from(self.base.nodes)
+        let min_clients = if self.open_loop.is_some() {
+            u64::from(self.nodes)
         } else {
             1
         };
-        let clients = apportion(u64::from(self.base.clients), &mass, min_clients);
-        let warmup = apportion(self.base.warmup_requests, &mass, 0);
-        let measured = apportion(self.base.measured_requests, &mass, 1);
-        (0..self.shards)
+        let clients = apportion(u64::from(self.clients), &mass, min_clients);
+        let warmup = apportion(self.warmup_requests, &mass, 0);
+        let measured = apportion(self.measured_requests, &mass, 1);
+        let configs = (0..self.shards)
             .map(|s| {
-                let mut cfg = self.base.clone();
-                cfg.seed = shard_seed(self.base.seed, s);
-                cfg.clients = u32::try_from(clients[usize::from(s)]).expect("client split fits");
-                cfg.warmup_requests = warmup[usize::from(s)];
-                cfg.measured_requests = measured[usize::from(s)];
+                let i = usize::from(s);
+                let mut cfg = self.clone();
+                cfg.shards = 1;
+                cfg.seed = shard_seed(self.seed, s);
+                cfg.clients = u32::try_from(clients[i]).expect("client split fits");
+                cfg.warmup_requests = warmup[i];
+                cfg.measured_requests = measured[i];
                 cfg.workload = cfg
                     .workload
                     .with_shard(ShardSlice::new(router, s).with_group(group));
                 if let Some(plan) = cfg.open_loop.as_mut() {
-                    plan.offered_per_sec *= mass[usize::from(s)];
+                    plan.offered_per_sec *= mass[i];
                 }
                 cfg
             })
-            .collect()
+            .collect();
+        (configs, mass)
     }
 }
 
@@ -218,7 +135,7 @@ impl FleetConfig {
 /// apportionment; ties break toward lower indices, so the split is a pure
 /// function of its inputs).
 ///
-/// Callers must guarantee `total >= min * mass.len()`; fleet validation
+/// Callers must guarantee `total >= min * mass.len()`; shard validation
 /// enforces that for every split performed here.
 fn apportion(total: u64, mass: &[f64], min: u64) -> Vec<u64> {
     let n = mass.len();
@@ -256,115 +173,15 @@ fn apportion(total: u64, mass: &[f64], min: u64) -> Vec<u64> {
     out
 }
 
-/// A protocol event addressed to one shard of a fleet.
-#[derive(Debug)]
-pub struct FleetEvent {
-    /// The shard whose cluster handles the event.
-    pub shard: u16,
-    /// The wrapped single-cluster protocol event.
-    pub event: Event,
-}
-
-/// The fleet model: `S` independent [`Cluster`]s multiplexed over one
-/// engine via [`FleetEvent`] wrapping.
-///
-/// Each dispatch unwraps the event, runs the home shard's cluster against
-/// a buffered [`Context`] at the *global* dispatch time and sequence
-/// number, then forwards whatever the cluster scheduled — re-wrapped —
-/// into the shared queue in push order. Trace records therefore carry the
-/// same dispatch sequence numbers a solo run would produce, and a
-/// one-shard fleet replays the solo run exactly.
-#[derive(Debug)]
-pub struct Fleet {
-    shards: Vec<Cluster>,
-    /// Scratch buffer for one dispatch's inner pushes; drained every time.
-    buffer: Vec<(SimTime, Event)>,
-    /// Per-shard stop flags: a stopped shard's leftover events are skipped.
-    done: Vec<bool>,
-    /// Time each shard requested its stop (valid where `done`).
-    end_time: Vec<SimTime>,
-}
-
-impl Fleet {
-    /// Builds the fleet's clusters from a validated config.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`FleetConfig::validate`] rejects the configuration.
-    #[must_use]
-    pub fn new(cfg: &FleetConfig) -> Self {
-        cfg.validate().expect("invalid fleet configuration");
-        let shards: Vec<Cluster> = cfg.shard_configs().into_iter().map(Cluster::new).collect();
-        let n = shards.len();
-        Fleet {
-            shards,
-            buffer: Vec::new(),
-            done: vec![false; n],
-            end_time: vec![SimTime::ZERO; n],
-        }
-    }
-
-    /// The clusters, indexed by shard.
-    #[must_use]
-    pub fn shards(&self) -> &[Cluster] {
-        &self.shards
-    }
-
-    /// Whether every shard has completed its measured window.
-    #[must_use]
-    pub fn all_done(&self) -> bool {
-        self.done.iter().all(|&d| d)
-    }
-}
-
-impl Model for Fleet {
-    type Event = FleetEvent;
-
-    fn handle(&mut self, ctx: &mut Context<'_, FleetEvent>, event: FleetEvent) {
-        let FleetEvent { shard, event } = event;
-        let s = usize::from(shard);
-        if self.done[s] {
-            return;
-        }
-        let mut stop = false;
-        debug_assert!(self.buffer.is_empty());
-        {
-            let mut sub =
-                Context::buffered(ctx.now(), ctx.dispatch_seq(), &mut self.buffer, &mut stop);
-            self.shards[s].handle(&mut sub, event);
-        }
-        for (due, event) in self.buffer.drain(..) {
-            ctx.schedule_at(due, FleetEvent { shard, event });
-        }
-        if stop {
-            self.done[s] = true;
-            self.end_time[s] = ctx.now();
-            if self.done.iter().all(|&d| d) {
-                ctx.request_stop();
-            }
-        }
-    }
-}
-
-/// Fleet-level results: the aggregate summary plus per-shard breakdown.
-#[derive(Clone, Debug)]
-pub struct FleetReport {
-    /// The DDP model the fleet ran.
-    pub model: DdpModel,
-    /// Number of shards.
-    pub shards: u16,
+/// What pooling a sharded run's statistics hides: the per-shard split.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ShardBreakdown {
     /// The key→shard placement used.
     pub placement: Placement,
-    /// Fleet-wide summary: pooled histograms and counters over the union
-    /// of the shards' measured windows. The eight gauge-derived occupancy
-    /// fields (`mean/max_buffered_writes`, `mean/max_admission_queue`,
-    /// `mean/max_nvm_bank_queue`, `mean/max_active_compactions`) are sums
-    /// of the per-shard values, since time-weighted gauges do not pool.
-    pub aggregate: RunSummary,
-    /// Each shard's own summary, indexed by shard.
-    pub per_shard: Vec<RunSummary>,
     /// Completed requests per shard (the imbalance raw material).
     pub shard_completed: Vec<u64>,
+    /// Per-shard throughput, requests per simulated second.
+    pub shard_throughput: Vec<f64>,
     /// The popularity mass each shard was provisioned for.
     pub offered_mass: Vec<f64>,
     /// Shard-imbalance index: max over shards of completed requests,
@@ -376,254 +193,78 @@ pub struct FleetReport {
     pub cross_shard_groups: u64,
 }
 
-/// Drives a [`Fleet`] to completion on one engine and aggregates the
-/// per-shard results; the sharded counterpart of
-/// [`Simulation`](crate::protocol::Simulation).
-#[derive(Debug)]
-pub struct FleetSimulation {
-    cfg: FleetConfig,
-    mass: Vec<f64>,
-    engine: Engine<FleetEvent>,
-    fleet: Fleet,
-    ran: bool,
+/// Fleet-wide merged statistics: counters summed, histograms pooled, the
+/// measured window unioned (see [`RunStats::absorb`]). The four level
+/// gauges (`causal_buffered`, `admission_queue`, `nvm_bank_queue`,
+/// `compactions_active`) are left default — occupancy does not pool; the
+/// pooled summary sums the per-shard values instead.
+pub(crate) fn merged_stats(clusters: &[Cluster]) -> RunStats {
+    let mut merged = RunStats {
+        // Seed the accumulator's (empty) window at shard 0's start so the
+        // union below is exactly the union of real windows.
+        window_start: clusters[0].stats.window_start,
+        ..RunStats::default()
+    };
+    for c in clusters {
+        merged.absorb(&c.stats);
+    }
+    merged
 }
 
-impl FleetSimulation {
-    /// Builds the fleet; validates the config.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`FleetConfig::validate`] rejects the configuration.
-    #[must_use]
-    pub fn new(cfg: FleetConfig) -> Self {
-        let fleet = Fleet::new(&cfg);
-        let mass = cfg.popularity_mass();
-        FleetSimulation {
-            cfg,
-            mass,
-            engine: Engine::new(),
-            fleet,
-            ran: false,
-        }
-    }
-
-    /// Runs every shard to the end of its measured window and returns the
-    /// fleet report. Calling `run` again returns the same report without
-    /// re-running.
-    pub fn run(&mut self) -> FleetReport {
-        if !self.ran {
-            // Mirror Simulation::run per shard, in shard order: the
-            // initial arrival (open loop) or staggered client issues
-            // (closed loop), then the shard's fault plan. With one shard
-            // the queue receives exactly the pushes a solo run makes, in
-            // the same order.
-            for (s, cluster) in self.fleet.shards.iter_mut().enumerate() {
-                let shard = s as u16;
-                if let Some(ol) = cluster.ol.as_mut() {
-                    let gap = ol.gen.next_interarrival();
-                    self.engine.schedule(
-                        SimTime::ZERO + gap,
-                        FleetEvent {
-                            shard,
-                            event: Event::Arrival,
-                        },
-                    );
-                } else {
-                    for i in 0..cluster.cfg.clients {
-                        let start = SimTime::ZERO + Duration::from_nanos(u64::from(i) * 10);
-                        self.engine.schedule(
-                            start,
-                            FleetEvent {
-                                shard,
-                                event: Event::Issue(ClientId(i), 0),
-                            },
-                        );
-                    }
-                }
-                for c in &cluster.cfg.faults.crashes {
-                    let down = SimTime::ZERO + c.at;
-                    self.engine.schedule(
-                        down,
-                        FleetEvent {
-                            shard,
-                            event: Event::NodeCrash(NodeId(c.node)),
-                        },
-                    );
-                    self.engine.schedule(
-                        down + c.down_for,
-                        FleetEvent {
-                            shard,
-                            event: Event::NodeRecover(NodeId(c.node)),
-                        },
-                    );
-                }
-            }
-            self.engine.run(&mut self.fleet);
-            let fallback = self.engine.now();
-            for s in 0..self.fleet.shards.len() {
-                // Close each shard's books at the time IT stopped, not at
-                // the time the last shard did: a fast shard's gauges and
-                // measured window must not stretch over time it sat idle.
-                let end = if self.fleet.done[s] {
-                    self.fleet.end_time[s]
-                } else {
-                    fallback
-                };
-                let shard = &mut self.fleet.shards[s];
-                shard.stats.causal_buffered.finish(end);
-                shard.stats.admission_queue.finish(end);
-                shard.stats.nvm_bank_queue.finish(end);
-                shard.stats.compactions_active.finish(end);
-                shard.finish_timeline(end);
-                shard.stats.measured_time = end.saturating_since(shard.stats.window_start);
-            }
-            self.ran = true;
-        }
-        self.report()
-    }
-
-    /// Fleet-wide merged statistics: counters summed, histograms pooled,
-    /// the measured window unioned (see [`RunStats::absorb`]). The three
-    /// level gauges are left default — occupancy does not pool; use the
-    /// per-shard summaries for those.
-    #[must_use]
-    pub fn merged_stats(&self) -> RunStats {
-        let mut merged = RunStats {
-            // Seed the accumulator's (empty) window at shard 0's start so
-            // the union below is exactly the union of real windows.
-            window_start: self.fleet.shards[0].stats.window_start,
-            ..RunStats::default()
-        };
-        for c in &self.fleet.shards {
-            merged.absorb(&c.stats);
-        }
-        merged
-    }
-
-    fn report(&self) -> FleetReport {
-        let per_shard: Vec<RunSummary> = self
-            .fleet
-            .shards
-            .iter()
-            .map(|c| RunSummary::from_stats(&c.stats))
-            .collect();
-        let shard_completed: Vec<u64> = self
-            .fleet
-            .shards
-            .iter()
-            .map(|c| c.stats.completed())
-            .collect();
-
-        let merged = self.merged_stats();
-        let mut aggregate = RunSummary::from_stats(&merged);
-        // Gauge-derived occupancies: sum the per-shard values (see
-        // FleetReport::aggregate).
-        aggregate.mean_buffered_writes = per_shard.iter().map(|s| s.mean_buffered_writes).sum();
-        aggregate.max_buffered_writes = per_shard.iter().map(|s| s.max_buffered_writes).sum();
-        aggregate.mean_admission_queue = per_shard.iter().map(|s| s.mean_admission_queue).sum();
-        aggregate.max_admission_queue = per_shard.iter().map(|s| s.max_admission_queue).sum();
-        aggregate.mean_nvm_bank_queue = per_shard.iter().map(|s| s.mean_nvm_bank_queue).sum();
-        aggregate.max_nvm_bank_queue = per_shard.iter().map(|s| s.max_nvm_bank_queue).sum();
-        aggregate.mean_active_compactions =
-            per_shard.iter().map(|s| s.mean_active_compactions).sum();
-        aggregate.max_active_compactions = per_shard.iter().map(|s| s.max_active_compactions).sum();
-
-        let total: u64 = shard_completed.iter().sum();
-        let imbalance = if total == 0 {
-            0.0
-        } else {
-            let mean = total as f64 / shard_completed.len() as f64;
-            *shard_completed.iter().max().expect("at least one shard") as f64 / mean
-        };
-        let cross_shard_groups = self
-            .fleet
-            .shards
-            .iter()
-            .map(|c| c.clients.total_cross_shard())
-            .sum();
-
-        FleetReport {
-            model: self.cfg.base.model,
-            shards: self.cfg.shards,
-            placement: self.cfg.placement,
-            aggregate,
-            per_shard,
-            shard_completed,
-            offered_mass: self.mass.clone(),
-            imbalance,
-            cross_shard_groups,
-        }
-    }
-
-    /// The fleet configuration.
-    #[must_use]
-    pub fn config(&self) -> &FleetConfig {
-        &self.cfg
-    }
-
-    /// One shard's cluster (stats, observations, stores).
-    #[must_use]
-    pub fn shard(&self, shard: u16) -> &Cluster {
-        &self.fleet.shards[usize::from(shard)]
-    }
-
-    /// The clusters, indexed by shard.
-    #[must_use]
-    pub fn shards(&self) -> &[Cluster] {
-        self.fleet.shards()
-    }
-
-    /// Drains every shard's trace event ring: `(shard, dump)` pairs for
-    /// shards with event tracing enabled.
-    pub fn take_traces(&mut self) -> Vec<(u16, TraceDump)> {
-        self.fleet
-            .shards
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(s, c)| c.take_trace().map(|d| (s as u16, d)))
-            .collect()
-    }
-
-    /// Drains every shard's windowed timeline: `(shard, dump)` pairs for
-    /// shards with the timeline enabled.
-    pub fn take_timelines(&mut self) -> Vec<(u16, TimelineDump)> {
-        self.fleet
-            .shards
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(s, c)| c.take_timeline().map(|d| (s as u16, d)))
-            .collect()
-    }
-}
-
-/// Convenience one-shot: build, run, report.
+/// The pooled summary and per-shard breakdown of a sharded run.
 ///
-/// # Panics
-///
-/// Panics if [`FleetConfig::validate`] rejects the configuration.
-#[must_use]
-pub fn run_fleet(cfg: FleetConfig) -> FleetReport {
-    FleetSimulation::new(cfg).run()
+/// The summary is taken over [`merged_stats`]; its eight gauge-derived
+/// occupancy fields (`mean/max_buffered_writes`, `mean/max_admission_queue`,
+/// `mean/max_nvm_bank_queue`, `mean/max_active_compactions`) are sums of
+/// the per-shard values, since time-weighted gauges do not pool.
+pub(crate) fn shard_report(clusters: &[Cluster], mass: &[f64]) -> (RunSummary, ShardBreakdown) {
+    let per_shard: Vec<RunSummary> = clusters
+        .iter()
+        .map(|c| RunSummary::from_stats(&c.stats))
+        .collect();
+    let mut summary = RunSummary::from_stats(&merged_stats(clusters));
+    summary.mean_buffered_writes = per_shard.iter().map(|s| s.mean_buffered_writes).sum();
+    summary.max_buffered_writes = per_shard.iter().map(|s| s.max_buffered_writes).sum();
+    summary.mean_admission_queue = per_shard.iter().map(|s| s.mean_admission_queue).sum();
+    summary.max_admission_queue = per_shard.iter().map(|s| s.max_admission_queue).sum();
+    summary.mean_nvm_bank_queue = per_shard.iter().map(|s| s.mean_nvm_bank_queue).sum();
+    summary.max_nvm_bank_queue = per_shard.iter().map(|s| s.max_nvm_bank_queue).sum();
+    summary.mean_active_compactions = per_shard.iter().map(|s| s.mean_active_compactions).sum();
+    summary.max_active_compactions = per_shard.iter().map(|s| s.max_active_compactions).sum();
+
+    let shard_completed: Vec<u64> = clusters.iter().map(|c| c.stats.completed()).collect();
+    let total: u64 = shard_completed.iter().sum();
+    let imbalance = if total == 0 {
+        0.0
+    } else {
+        let mean = total as f64 / shard_completed.len() as f64;
+        *shard_completed.iter().max().expect("at least one shard") as f64 / mean
+    };
+    let breakdown = ShardBreakdown {
+        placement: clusters[0].cfg.placement,
+        shard_throughput: per_shard.iter().map(|s| s.throughput).collect(),
+        shard_completed,
+        offered_mass: mass.to_vec(),
+        imbalance,
+        cross_shard_groups: clusters.iter().map(|c| c.clients.total_cross_shard()).sum(),
+    };
+    (summary, breakdown)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::Simulation;
+    use crate::model::DdpModel;
+    use crate::protocol::{RunReport, Simulation};
 
     fn quick_cfg() -> ClusterConfig {
         ClusterConfig::micro21(DdpModel::baseline()).quick()
     }
 
-    #[test]
-    fn one_shard_fleet_matches_solo_simulation() {
-        let cfg = quick_cfg();
-        let solo = Simulation::new(cfg.clone()).run();
-        let fleet = run_fleet(FleetConfig::new(cfg, 1));
-        assert_eq!(fleet.aggregate, solo.summary);
-        assert_eq!(fleet.per_shard.len(), 1);
-        assert_eq!(fleet.cross_shard_groups, 0);
-        assert!((fleet.imbalance - 1.0).abs() < 1e-12);
+    fn run(cfg: ClusterConfig) -> (RunReport, ShardBreakdown) {
+        let report = Simulation::new(cfg).run();
+        let breakdown = report.shards.clone().expect("sharded run has a breakdown");
+        (report, breakdown)
     }
 
     #[test]
@@ -632,9 +273,10 @@ mod tests {
         cfg.clients = 103; // deliberately not divisible
         cfg.warmup_requests = 501;
         cfg.measured_requests = 2_003;
-        let fleet = FleetConfig::new(cfg, 4);
-        let configs = fleet.shard_configs();
+        let fleet = cfg.with_shards(4);
+        let (configs, mass) = fleet.clone().into_shards();
         assert_eq!(configs.len(), 4);
+        assert_eq!(mass.len(), 4);
         assert_eq!(
             configs.iter().map(|c| u64::from(c.clients)).sum::<u64>(),
             103
@@ -646,8 +288,9 @@ mod tests {
         );
         assert!(configs.iter().all(|c| c.clients >= 1));
         assert!(configs.iter().all(|c| c.measured_requests >= 1));
+        assert!(configs.iter().all(|c| c.shards == 1));
         // Distinct seeds, shard 0 unchanged.
-        assert_eq!(configs[0].seed, fleet.base.seed);
+        assert_eq!(configs[0].seed, fleet.seed);
         for (i, c) in configs.iter().enumerate() {
             for (j, d) in configs.iter().enumerate() {
                 if i != j {
@@ -663,42 +306,42 @@ mod tests {
     fn multi_shard_fleet_completes_and_balances_roughly() {
         let mut cfg = quick_cfg();
         cfg.workload.zipf_theta = None; // uniform: near-perfect balance
-        let report = run_fleet(FleetConfig::new(cfg.clone(), 4));
-        assert_eq!(report.shards, 4);
-        assert_eq!(report.per_shard.len(), 4);
-        let total: u64 = report.shard_completed.iter().sum();
+        let (report, shards) = run(cfg.clone().with_shards(4));
+        assert_eq!(shards.shard_completed.len(), 4);
+        assert_eq!(shards.shard_throughput.len(), 4);
+        let total: u64 = shards.shard_completed.iter().sum();
         assert!(
             total >= cfg.measured_requests,
             "fleet must finish its quota"
         );
-        assert!(report.aggregate.throughput > 0.0);
-        assert!(report.imbalance >= 1.0);
+        assert!(report.summary.throughput > 0.0);
+        assert!(shards.imbalance >= 1.0);
         assert!(
-            report.imbalance < 1.5,
+            shards.imbalance < 1.5,
             "uniform placement should balance, got {}",
-            report.imbalance
+            shards.imbalance
         );
     }
 
     #[test]
     fn runs_are_deterministic() {
-        let cfg = quick_cfg();
-        let a = run_fleet(FleetConfig::new(cfg.clone(), 3));
-        let b = run_fleet(FleetConfig::new(cfg, 3));
-        assert_eq!(a.aggregate, b.aggregate);
-        assert_eq!(a.shard_completed, b.shard_completed);
-        assert_eq!(a.cross_shard_groups, b.cross_shard_groups);
+        let cfg = quick_cfg().with_shards(3);
+        let (a, a_shards) = run(cfg.clone());
+        let (b, b_shards) = run(cfg);
+        assert_eq!(a.summary, b.summary);
+        assert_eq!(a_shards.shard_completed, b_shards.shard_completed);
+        assert_eq!(a_shards.cross_shard_groups, b_shards.cross_shard_groups);
     }
 
     #[test]
     fn transactional_fleets_count_cross_shard_groups() {
         let mut cfg = quick_cfg();
         cfg.model = DdpModel::new(Consistency::Transactional, Persistency::Eventual);
-        let report = run_fleet(FleetConfig::new(cfg, 4));
+        let (_, shards) = run(cfg.with_shards(4));
         // Txn groups of 5 keys over 4 hash shards: most natural groups
         // span shards, so the rejection counter must move.
         assert!(
-            report.cross_shard_groups > 0,
+            shards.cross_shard_groups > 0,
             "expected rejected cross-shard groups"
         );
     }
@@ -706,14 +349,25 @@ mod tests {
     #[test]
     fn validation_rejects_degenerate_fleets() {
         let cfg = quick_cfg();
-        assert!(FleetConfig::new(cfg.clone(), 0).validate().is_err());
+        assert!(cfg.clone().with_shards(0).validate().is_err());
         let mut tiny = cfg.clone();
         tiny.workload.key_space = 3;
-        assert!(FleetConfig::new(tiny, 8).validate().is_err());
+        assert!(tiny.with_shards(8).validate().is_err());
         let mut few = cfg.clone();
         few.clients = 2;
-        assert!(FleetConfig::new(few, 4).validate().is_err());
-        assert!(FleetConfig::new(cfg, 4).validate().is_ok());
+        assert!(few.with_shards(4).validate().is_err());
+        assert!(cfg.with_shards(4).validate().is_ok());
+    }
+
+    #[test]
+    fn one_shard_takes_all_the_mass_and_no_breakdown() {
+        let cfg = quick_cfg();
+        assert_eq!(cfg.popularity_mass(), vec![1.0]);
+        let (configs, mass) = cfg.clone().into_shards();
+        assert_eq!(mass, vec![1.0]);
+        assert_eq!(configs[0].seed, cfg.seed);
+        assert!(configs[0].workload.shard.is_none());
+        assert!(Simulation::new(cfg).run().shards.is_none());
     }
 
     #[test]

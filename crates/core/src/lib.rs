@@ -71,10 +71,7 @@ pub use config::{
     BurstProfile, ClusterConfig, CompactionConfig, CrashEvent, FaultPlan, OpenLoopPlan,
 };
 pub use failure::{crash_snapshot, ClusterSnapshot, NodeImage};
-pub use fleet::{
-    run_fleet, shard_seed, Fleet, FleetConfig, FleetEvent, FleetReport, FleetSimulation,
-    SHARD_SEED_STRIDE,
-};
+pub use fleet::{shard_seed, ShardBreakdown, SHARD_SEED_STRIDE};
 pub use message::{Message, ScopeId, TxnId, WriteId};
 pub use model::{Consistency, DdpModel, Persistency};
 pub use protocol::{

@@ -228,8 +228,8 @@ impl Cluster {
             self.begin_measurement(ctx.now());
         }
         if self.measuring && self.measured_completed >= self.cfg.measured_requests {
+            // The simulation stops the engine once every shard is done.
             self.done = true;
-            ctx.request_stop();
         }
     }
 

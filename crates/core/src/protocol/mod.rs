@@ -29,6 +29,7 @@ mod scope;
 mod txn;
 mod write;
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use ddp_mem::MemoryController;
@@ -39,6 +40,7 @@ use ddp_workload::{ClientId, ClientPool, Request};
 
 use crate::cauhist::VectorClock;
 use crate::config::ClusterConfig;
+use crate::fleet::ShardBreakdown;
 use crate::message::{Message, ScopeId, TxnId, WriteId};
 use crate::model::{Consistency, Persistency};
 use crate::replica::ReplicaStore;
@@ -554,6 +556,8 @@ pub struct Cluster {
     pub(crate) active_txns: BTreeMap<(u8, u64), txn::TxnSets>,
     /// Updates whose lazy persist has not completed (buffer-gauge input).
     pub(crate) lazy_pending: u64,
+    /// Set once the measured window completes; later events are ignored,
+    /// and the simulation stops the engine when every shard is done.
     pub(crate) done: bool,
     /// Open-loop arrival and admission state (`None` on closed loops).
     pub(crate) ol: Option<OpenLoopState>,
@@ -614,8 +618,9 @@ impl std::fmt::Debug for Cluster {
 }
 
 impl Cluster {
+    /// Builds one replica group from an already validated single-group
+    /// config (see [`Simulation::new`]).
     pub(crate) fn new(cfg: ClusterConfig) -> Self {
-        cfg.validate().expect("invalid cluster configuration");
         let clients = ClientPool::new(&cfg.workload, cfg.clients, cfg.nodes, cfg.seed);
         let nodes = (0..cfg.nodes)
             .map(|i| NodeState::new(NodeId(i), &cfg))
@@ -1246,7 +1251,38 @@ impl Model for Cluster {
     }
 }
 
-/// A complete simulated experiment: engine plus cluster.
+/// The model the engine drives: one cluster per shard, each on the lane
+/// of its index. A dispatch goes straight to its lane's cluster; a cluster
+/// that finishes its measured window marks itself done (and ignores its
+/// leftover events), and the run stops once every shard is done.
+#[derive(Debug)]
+struct Shards {
+    clusters: Vec<Cluster>,
+    /// The time each shard finished (`None` while it runs).
+    end_time: Vec<Option<SimTime>>,
+    /// Shards still running.
+    running: usize,
+}
+
+impl Model for Shards {
+    type Event = Event;
+
+    fn handle(&mut self, ctx: &mut Context<'_, Event>, event: Event) {
+        let lane = usize::from(ctx.lane());
+        let cluster = &mut self.clusters[lane];
+        cluster.handle(ctx, event);
+        if cluster.done && self.end_time[lane].is_none() {
+            self.end_time[lane] = Some(ctx.now());
+            self.running -= 1;
+            if self.running == 0 {
+                ctx.request_stop();
+            }
+        }
+    }
+}
+
+/// A complete simulated experiment: one engine driving `cfg.shards`
+/// clusters (one, the paper's single replica group, by default).
 ///
 /// # Examples
 ///
@@ -1261,7 +1297,9 @@ impl Model for Cluster {
 #[derive(Debug)]
 pub struct Simulation {
     engine: Engine<Event>,
-    cluster: Cluster,
+    shards: Shards,
+    /// The popularity mass each shard was provisioned for.
+    mass: Vec<f64>,
     ran: bool,
 }
 
@@ -1270,21 +1308,34 @@ pub struct Simulation {
 pub struct RunReport {
     /// The DDP model that ran.
     pub model: crate::model::DdpModel,
-    /// Condensed metrics (what the figures plot).
+    /// Condensed metrics (what the figures plot); pooled over the shards
+    /// of a sharded run.
     pub summary: RunSummary,
+    /// The per-shard breakdown; `None` for a single replica group.
+    pub shards: Option<ShardBreakdown>,
 }
 
 impl Simulation {
-    /// Builds a simulation for the given configuration.
+    /// Builds a simulation for the given configuration: one cluster per
+    /// shard (see [`crate::fleet`]).
     ///
     /// # Panics
     ///
     /// Panics if the configuration fails [`ClusterConfig::validate`].
     #[must_use]
     pub fn new(cfg: ClusterConfig) -> Self {
+        cfg.validate().expect("invalid cluster configuration");
+        let (configs, mass) = cfg.into_shards();
+        let clusters: Vec<Cluster> = configs.into_iter().map(Cluster::new).collect();
+        let n = clusters.len();
         Simulation {
-            cluster: Cluster::new(cfg),
             engine: Engine::new(),
+            shards: Shards {
+                clusters,
+                end_time: vec![None; n],
+                running: n,
+            },
+            mass,
             ran: false,
         }
     }
@@ -1294,65 +1345,112 @@ impl Simulation {
     /// Calling `run` again returns the same report without re-running.
     pub fn run(&mut self) -> RunReport {
         if !self.ran {
-            if let Some(ol) = self.cluster.ol.as_mut() {
-                // Open loop: the run is driven by the arrival chain; all
-                // session slots start free. Arrivals are counted when
-                // dispatched, so the chain's pending tail is never counted.
-                let gap = ol.gen.next_interarrival();
-                self.engine.schedule(SimTime::ZERO + gap, Event::Arrival);
-            } else {
-                // Stagger client starts over the first microsecond so the
-                // initial broadcast burst does not phase-lock.
-                for i in 0..self.cluster.cfg.clients {
-                    let start = SimTime::ZERO + Duration::from_nanos(u64::from(i) * 10);
-                    self.engine.schedule(start, Event::Issue(ClientId(i), 0));
+            for (lane, cluster) in self.shards.clusters.iter_mut().enumerate() {
+                let lane = u16::try_from(lane).expect("shard count fits in u16");
+                if let Some(ol) = cluster.ol.as_mut() {
+                    // Open loop: the run is driven by the arrival chain; all
+                    // session slots start free. Arrivals are counted when
+                    // dispatched, so the chain's pending tail is never counted.
+                    let gap = ol.gen.next_interarrival();
+                    self.engine
+                        .schedule_lane(SimTime::ZERO + gap, lane, Event::Arrival);
+                } else {
+                    // Stagger client starts over the first microsecond so the
+                    // initial broadcast burst does not phase-lock.
+                    for i in 0..cluster.cfg.clients {
+                        let start = SimTime::ZERO + Duration::from_nanos(u64::from(i) * 10);
+                        self.engine
+                            .schedule_lane(start, lane, Event::Issue(ClientId(i), 0));
+                    }
+                }
+                // Scheduled fault-plan crashes and their rejoins.
+                for c in &cluster.cfg.faults.crashes {
+                    let down = SimTime::ZERO + c.at;
+                    self.engine
+                        .schedule_lane(down, lane, Event::NodeCrash(NodeId(c.node)));
+                    self.engine.schedule_lane(
+                        down + c.down_for,
+                        lane,
+                        Event::NodeRecover(NodeId(c.node)),
+                    );
                 }
             }
-            // Scheduled fault-plan crashes and their rejoins.
-            for c in &self.cluster.cfg.faults.crashes {
-                let down = SimTime::ZERO + c.at;
-                self.engine.schedule(down, Event::NodeCrash(NodeId(c.node)));
-                self.engine
-                    .schedule(down + c.down_for, Event::NodeRecover(NodeId(c.node)));
+            self.engine.run(&mut self.shards);
+            let fallback = self.engine.now();
+            for (cluster, end) in self.shards.clusters.iter_mut().zip(&self.shards.end_time) {
+                // Close each shard's books at the time IT stopped, not at
+                // the time the last shard did: a fast shard's gauges and
+                // measured window must not stretch over time it sat idle.
+                let now = end.unwrap_or(fallback);
+                cluster.stats.causal_buffered.finish(now);
+                cluster.stats.admission_queue.finish(now);
+                cluster.stats.nvm_bank_queue.finish(now);
+                cluster.stats.compactions_active.finish(now);
+                cluster.finish_timeline(now);
+                cluster.stats.measured_time = now.saturating_since(cluster.stats.window_start);
             }
-            self.engine.run(&mut self.cluster);
-            let now = self.engine.now();
-            self.cluster.stats.causal_buffered.finish(now);
-            self.cluster.stats.admission_queue.finish(now);
-            self.cluster.stats.nvm_bank_queue.finish(now);
-            self.cluster.stats.compactions_active.finish(now);
-            self.cluster.finish_timeline(now);
-            self.cluster.stats.measured_time =
-                now.saturating_since(self.cluster.stats.window_start);
             self.ran = true;
         }
+        let clusters = &self.shards.clusters;
+        let (summary, shards) = if clusters.len() == 1 {
+            (RunSummary::from_stats(&clusters[0].stats), None)
+        } else {
+            let (summary, breakdown) = crate::fleet::shard_report(clusters, &self.mass);
+            (summary, Some(breakdown))
+        };
         RunReport {
-            model: self.cluster.cfg.model,
-            summary: RunSummary::from_stats(&self.cluster.stats),
+            model: clusters[0].cfg.model,
+            summary,
+            shards,
         }
     }
 
-    /// The cluster, for post-run inspection (recovery, checkers).
+    /// The run's statistics: shard 0's own for a single replica group,
+    /// merged over the shards otherwise (counters summed, histograms
+    /// pooled, measured windows unioned; level gauges left default).
+    #[must_use]
+    pub fn stats(&self) -> Cow<'_, RunStats> {
+        match self.shards.clusters.as_slice() {
+            [only] => Cow::Borrowed(&only.stats),
+            clusters => Cow::Owned(crate::fleet::merged_stats(clusters)),
+        }
+    }
+
+    /// The cluster of shard 0 (the only one of a single replica group),
+    /// for post-run inspection (recovery, checkers).
     #[must_use]
     pub fn cluster(&self) -> &Cluster {
-        &self.cluster
+        &self.shards.clusters[0]
     }
 
-    /// Drains the trace event ring (see [`Cluster::take_trace`]).
-    pub fn take_trace(&mut self) -> Option<TraceDump> {
-        self.cluster.take_trace()
-    }
-
-    /// Drains the windowed metrics timeline (see
-    /// [`Cluster::take_timeline`]).
-    pub fn take_timeline(&mut self) -> Option<TimelineDump> {
-        self.cluster.take_timeline()
-    }
-
-    /// Mutable cluster access (failure injection).
+    /// Mutable access to shard 0's cluster (failure injection).
     #[must_use]
     pub fn cluster_mut(&mut self) -> &mut Cluster {
-        &mut self.cluster
+        &mut self.shards.clusters[0]
+    }
+
+    /// Every shard's cluster, indexed by shard.
+    #[must_use]
+    pub fn clusters(&self) -> &[Cluster] {
+        &self.shards.clusters
+    }
+
+    /// Mutable access to every shard's cluster (draining per-shard trace
+    /// rings and timelines).
+    #[must_use]
+    pub fn clusters_mut(&mut self) -> &mut [Cluster] {
+        &mut self.shards.clusters
+    }
+
+    /// Drains shard 0's trace event ring (see [`Cluster::take_trace`]).
+    pub fn take_trace(&mut self) -> Option<TraceDump> {
+        self.cluster_mut().take_trace()
+    }
+
+    /// Drains shard 0's windowed metrics timeline (see
+    /// [`Cluster::take_timeline`]).
+    pub fn take_timeline(&mut self) -> Option<TimelineDump> {
+        self.cluster_mut().take_timeline()
     }
 }
 

@@ -229,13 +229,14 @@ impl HarnessArgs {
         Ok(parsed)
     }
 
-    /// Parses the process arguments.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first unknown or malformed argument.
-    pub fn from_env() -> Result<Self, String> {
-        Self::parse(std::env::args().skip(1))
+    /// Parses the process arguments of bin `bin`; on a parse error prints
+    /// the usage to stderr and exits with status 2.
+    #[must_use]
+    pub fn from_env(bin: &str) -> Self {
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("{bin}: {e}\n{}", Self::usage(bin));
+            std::process::exit(2);
+        })
     }
 
     /// The usage string bins print on a parse error.

@@ -1,13 +1,17 @@
-//! The parallel deterministic executor.
+//! The parallel deterministic executor: one entry point, [`run_sweep`],
+//! and the per-bin facade [`Harness`] on top of it.
 //!
 //! Trials are independent seeded simulations, so a sweep parallelizes
 //! perfectly — the only thing that must *not* change with the thread
-//! count is the output. The executor therefore:
+//! count is the output. Every trial, single-group or sharded, runs the
+//! same way: one [`Simulation`] of its config, condensed into one
+//! [`RunRecord`] plus the trace and timeline dumps of each shard (a
+//! [`TrialOutput`]). The executor:
 //!
 //! * pulls trials off a shared atomic work queue (no static partitioning,
 //!   so a slow model cannot strand an idle worker);
-//! * writes each finished [`RunRecord`] into the result slot keyed by the
-//!   trial's grid index, making the returned stream independent of
+//! * writes each finished [`TrialOutput`] into the result slot keyed by
+//!   the trial's grid index, making the returned stream independent of
 //!   completion order;
 //! * keeps host wall-clock out of the records entirely — progress and
 //!   timing go to **stderr**, so stdout tables and `--json` streams stay
@@ -17,10 +21,11 @@
 //! [`crate::progress`] — the one module the determinism audit lets touch
 //! host time and threads. This file only decides *what* each worker runs.
 
-use ddp_core::{ClusterConfig, Simulation, TimelineDump, TraceDump};
+use ddp_core::{Cluster, ClusterConfig, Simulation, TimelineDump, TraceDump};
 
 use crate::args::HarnessArgs;
 use crate::csv::CsvWriter;
+use crate::fleet::shard_line;
 use crate::json::JsonLinesWriter;
 use crate::progress::{run_pool, Stopwatch};
 use crate::record::RunRecord;
@@ -34,18 +39,35 @@ use crate::trace::{trace_end_to_json, trace_event_to_json};
 /// figure-scale run.
 pub const DEFAULT_WINDOW_NS: u64 = 50_000;
 
+/// What one trial produced: its record plus its drained trace and
+/// timeline dumps, one per shard (each list empty unless the trial's
+/// config enabled that instrument).
+#[derive(Debug)]
+pub struct TrialOutput {
+    /// The trial's record.
+    pub record: RunRecord,
+    /// Trace dumps, indexed by shard.
+    pub traces: Vec<TraceDump>,
+    /// Timeline dumps, indexed by shard.
+    pub timelines: Vec<TimelineDump>,
+}
+
 /// Runs every trial of a sweep on `threads` workers and returns, in grid
-/// order, each trial's record plus its drained trace dump and timeline
-/// dump (each `None` unless the trial's config enabled it). The dumps
-/// must be drained inside the worker — the `Simulation` is dropped with
-/// the trial — so this is the executor's full-fidelity entry point;
-/// [`run_sweep_traced`] and [`run_sweep_named`] are narrower views.
+/// order, each trial's [`TrialOutput`] (index `i` of the result is trial
+/// `i` of the sweep, regardless of which worker ran it or when it
+/// finished). The dumps must be drained inside the worker — the
+/// `Simulation` is dropped with the trial — so this is the executor's one
+/// entry point.
+///
+/// Progress is reported on stderr as `[name] trial k/N <label> (t s)`
+/// plus a closing total; stdout is never touched.
+///
+/// # Panics
+///
+/// Panics (inside the worker) if a trial's config fails validation; see
+/// [`Sweep::validate`] to refuse a bad sweep up front.
 #[must_use]
-pub fn run_sweep_instrumented(
-    name: &str,
-    sweep: Sweep,
-    threads: usize,
-) -> Vec<(RunRecord, Option<TraceDump>, Option<TimelineDump>)> {
+pub fn run_sweep(name: &str, sweep: Sweep, threads: usize) -> Vec<TrialOutput> {
     let trials = sweep.into_trials();
     let labels: Vec<String> = trials.iter().map(|t| t.label.clone()).collect();
     run_pool(name, "trials", &labels, threads, |i| {
@@ -53,43 +75,21 @@ pub fn run_sweep_instrumented(
         let mut sim = Simulation::new(trial.cfg.clone());
         sim.run();
         let record = RunRecord::from_simulation(trial.index, trial.label.clone(), &mut sim);
-        let trace = sim.take_trace();
-        let timeline = sim.take_timeline();
-        (record, trace, timeline)
+        let clusters = sim.clusters_mut();
+        let traces = clusters
+            .iter_mut()
+            .filter_map(Cluster::take_trace)
+            .collect();
+        let timelines = clusters
+            .iter_mut()
+            .filter_map(Cluster::take_timeline)
+            .collect();
+        TrialOutput {
+            record,
+            traces,
+            timelines,
+        }
     })
-}
-
-/// [`run_sweep_instrumented`] without the timeline dumps.
-#[must_use]
-pub fn run_sweep_traced(
-    name: &str,
-    sweep: Sweep,
-    threads: usize,
-) -> Vec<(RunRecord, Option<TraceDump>)> {
-    run_sweep_instrumented(name, sweep, threads)
-        .into_iter()
-        .map(|(record, trace, _)| (record, trace))
-        .collect()
-}
-
-/// Runs every trial of a sweep on `threads` workers and returns the
-/// records in grid order (index `i` of the result is trial `i` of the
-/// sweep, regardless of which worker ran it or when it finished).
-///
-/// Progress is reported on stderr as `[name] trial k/N <label> (t s)`
-/// plus a closing total; stdout is never touched.
-#[must_use]
-pub fn run_sweep_named(name: &str, sweep: Sweep, threads: usize) -> Vec<RunRecord> {
-    run_sweep_traced(name, sweep, threads)
-        .into_iter()
-        .map(|(record, _)| record)
-        .collect()
-}
-
-/// [`run_sweep_named`] with an anonymous progress prefix.
-#[must_use]
-pub fn run_sweep(sweep: Sweep, threads: usize) -> Vec<RunRecord> {
-    run_sweep_named("sweep", sweep, threads)
 }
 
 /// The per-binary facade every bench bin runs through: parses the shared
@@ -156,13 +156,7 @@ impl Harness {
     /// stderr and exits with status 2.
     #[must_use]
     pub fn from_env(name: &'static str) -> Self {
-        match HarnessArgs::from_env() {
-            Ok(args) => Harness::new(name, args),
-            Err(e) => {
-                eprintln!("{name}: {e}\n{}", HarnessArgs::usage(name));
-                std::process::exit(2);
-            }
-        }
+        Harness::new(name, HarnessArgs::from_env(name))
     }
 
     /// The parsed flags.
@@ -173,10 +167,16 @@ impl Harness {
 
     /// Runs one sweep: applies `--quick` and `--store` (and, under
     /// `--trace` / `--timeline`, enables the corresponding
-    /// instrumentation on every trial), executes on `--threads` workers, appends every record to
-    /// the `--json`/`--csv` streams, every trial's event stream to the
-    /// `--trace` stream, and every trial's window rows to the
-    /// `--timeline` stream, and returns the records in grid order.
+    /// instrumentation on every trial), validates every trial, executes on
+    /// `--threads` workers, appends every record to the `--json`/`--csv`
+    /// streams, every trial's event stream to the `--trace` stream, and
+    /// every trial's window rows to the `--timeline` stream, and returns
+    /// the records in grid order. A sharded trial writes one stream per
+    /// shard; in a sweep with any sharded trial, every line is led by its
+    /// `"shard"` field.
+    ///
+    /// If any trial's config is invalid, nothing runs: the bin exits with
+    /// status 2, naming the trial and the reason.
     pub fn run(&mut self, sweep: Sweep) -> Vec<RunRecord> {
         let mut sweep = if self.args.quick {
             sweep.map_cfg(ClusterConfig::quick)
@@ -201,28 +201,57 @@ impl Harness {
             }
             sweep = sweep.map_cfg(|cfg| cfg.with_trace(trace_cfg));
         }
-        let results = run_sweep_instrumented(self.name, sweep, self.args.threads);
+        if let Err(e) = sweep.validate() {
+            eprintln!("{}: invalid configuration: {e}", self.name);
+            std::process::exit(2);
+        }
+        // One stream, one shape: if any trial is sharded, every trial's
+        // lines carry the shard field (shard 0 for a single group).
+        let sharded = sweep.trials().iter().any(|t| t.cfg.shards > 1);
+        let results = run_sweep(self.name, sweep, self.args.threads);
         let mut records = Vec::with_capacity(results.len());
-        for (record, dump, timeline) in results {
-            if let (Some(writer), Some(dump)) = (&mut self.trace_writer, dump) {
-                for event in &dump.events {
-                    writer
-                        .write_line(&trace_event_to_json(record.index, event))
-                        .expect("writing --trace event");
+        for TrialOutput {
+            record,
+            traces,
+            timelines,
+        } in results
+        {
+            let tag = |shard: usize, line: String| {
+                if sharded {
+                    shard_line(shard, &line)
+                } else {
+                    line
                 }
-                writer
-                    .write_line(&trace_end_to_json(record.index, &record.label, &dump))
-                    .expect("writing --trace trailer");
+            };
+            if let Some(writer) = &mut self.trace_writer {
+                for (shard, dump) in traces.iter().enumerate() {
+                    for event in &dump.events {
+                        writer
+                            .write_line(&tag(shard, trace_event_to_json(record.index, event)))
+                            .expect("writing --trace event");
+                    }
+                    writer
+                        .write_line(&tag(
+                            shard,
+                            trace_end_to_json(record.index, &record.label, dump),
+                        ))
+                        .expect("writing --trace trailer");
+                }
             }
-            if let (Some(writer), Some(dump)) = (&mut self.timeline_writer, timeline) {
-                for (k, w) in dump.windows.iter().enumerate() {
+            if let Some(writer) = &mut self.timeline_writer {
+                for (shard, dump) in timelines.iter().enumerate() {
+                    for (k, w) in dump.windows.iter().enumerate() {
+                        writer
+                            .write_line(&tag(shard, timeline_window_to_json(record.index, k, w)))
+                            .expect("writing --timeline window");
+                    }
                     writer
-                        .write_line(&timeline_window_to_json(record.index, k, w))
-                        .expect("writing --timeline window");
+                        .write_line(&tag(
+                            shard,
+                            timeline_end_to_json(record.index, &record.label, dump),
+                        ))
+                        .expect("writing --timeline trailer");
                 }
-                writer
-                    .write_line(&timeline_end_to_json(record.index, &record.label, &dump))
-                    .expect("writing --timeline trailer");
             }
             records.push(record);
         }
@@ -265,24 +294,6 @@ impl Harness {
     pub fn emit_json_line(&mut self, json: &str) {
         if let Some(writer) = &mut self.writer {
             writer.write_line(json).expect("writing --json line");
-        }
-    }
-
-    /// Writes one pre-serialized line to the `--trace` stream (for sweeps
-    /// the facade does not run itself, such as fleet sweeps). A no-op
-    /// without `--trace`.
-    pub fn emit_trace_line(&mut self, json: &str) {
-        if let Some(writer) = &mut self.trace_writer {
-            writer.write_line(json).expect("writing --trace line");
-        }
-    }
-
-    /// Writes one pre-serialized line to the `--timeline` stream (for
-    /// sweeps the facade does not run itself, such as fleet sweeps). A
-    /// no-op without `--timeline`.
-    pub fn emit_timeline_line(&mut self, json: &str) {
-        if let Some(writer) = &mut self.timeline_writer {
-            writer.write_line(json).expect("writing --timeline line");
         }
     }
 
@@ -347,9 +358,16 @@ mod tests {
         })
     }
 
+    fn records(sweep: Sweep, threads: usize) -> Vec<RunRecord> {
+        run_sweep("exec-test", sweep, threads)
+            .into_iter()
+            .map(|t| t.record)
+            .collect()
+    }
+
     #[test]
     fn records_come_back_in_grid_order() {
-        let records = run_sweep(tiny_grid(), 4);
+        let records = records(tiny_grid(), 4);
         assert_eq!(records.len(), DdpModel::COUNT);
         for (i, r) in records.iter().enumerate() {
             assert_eq!(r.index, i);
@@ -364,24 +382,27 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_results() {
-        let sequential = run_sweep(tiny_grid(), 1);
-        let parallel = run_sweep(tiny_grid(), 4);
+        let sequential = records(tiny_grid(), 1);
+        let parallel = records(tiny_grid(), 4);
         assert_eq!(sequential, parallel);
     }
 
     #[test]
     fn empty_sweep_is_a_noop() {
-        assert!(run_sweep(Sweep::new(), 8).is_empty());
+        assert!(run_sweep("exec-test", Sweep::new(), 8).is_empty());
     }
 
     #[test]
     fn store_override_reaches_every_trial() {
         use ddp_core::StoreKind;
-        let mut args = HarnessArgs::sequential();
-        args.store = Some(StoreKind::Lsm);
-        let mut h = Harness::new("exec-test", args);
-        let flagged = h.run(tiny_grid());
-        let explicit = run_sweep(tiny_grid().map_cfg(|c| c.with_store(StoreKind::Lsm)), 1);
-        assert_eq!(flagged, explicit);
+        let sweeps: [fn() -> Sweep; 2] = [tiny_grid, || tiny_grid().map_cfg(|c| c.with_shards(3))];
+        for sweep in sweeps {
+            let mut args = HarnessArgs::sequential();
+            args.store = Some(StoreKind::Lsm);
+            let mut h = Harness::new("exec-test", args);
+            let flagged = h.run(sweep());
+            let explicit = records(sweep().map_cfg(|c| c.with_store(StoreKind::Lsm)), 1);
+            assert_eq!(flagged, explicit);
+        }
     }
 }

@@ -1,182 +1,37 @@
-//! Sharded fleet sweeps: the executor and record types for
-//! [`FleetSimulation`] grids.
+//! Sharded trials in the harness's one record and stream formats.
 //!
-//! Mirrors the single-cluster layers ([`Sweep`](crate::Sweep) /
-//! [`run_sweep_traced`](crate::run_sweep_traced) /
-//! [`RunRecord`](crate::RunRecord)) one level up: a trial is a whole
-//! [`FleetConfig`], a record carries the fleet aggregate plus the
-//! per-shard breakdown, and the same determinism contract holds — records
-//! are pure simulation output written into index-keyed slots, so sweep
-//! output is byte-identical at any `--threads N`.
+//! A trial whose config has `shards > 1` runs through the same executor
+//! and yields the same [`RunRecord`](crate::RunRecord) as any other; the
+//! record's pooled summary is followed, in JSON only, by the per-shard
+//! [`ShardBreakdown`] (see `breakdown_json`). Its trace and timeline
+//! come as one stream per shard, each line led by a `"shard"` field (see
+//! `shard_line`). Single-group trials carry neither, so their JSON,
+//! CSV, trace and timeline bytes are those of an unsharded harness.
 
-use ddp_core::{
-    DdpModel, FleetConfig, FleetSimulation, Placement, RunSummary, TimelineDump, TraceDump,
-};
+use ddp_core::ShardBreakdown;
 
 use crate::json::{json_f64, JsonObject};
-use crate::progress::run_pool;
-use crate::record::RunCounters;
 
-/// One independent fleet simulation in a sweep.
-#[derive(Clone, Debug)]
-pub struct FleetTrial {
-    /// Position in the sweep (stable: results carry the same index).
-    pub index: usize,
-    /// Human-readable label, echoed in progress lines and JSON records.
-    pub label: String,
-    /// The fleet configuration to run.
-    pub cfg: FleetConfig,
+/// Prepends a `"shard"` field to one serialized JSON object (a trace or
+/// timeline line of a sharded trial); nothing else about the line
+/// changes.
+pub(crate) fn shard_line(shard: usize, line: &str) -> String {
+    let rest = line
+        .strip_prefix('{')
+        .expect("stream lines are JSON objects");
+    format!("{{\"shard\":{shard},{rest}")
 }
 
-/// A declarative grid of independent fleet trials.
-#[derive(Clone, Debug, Default)]
-pub struct FleetSweep {
-    trials: Vec<FleetTrial>,
-}
-
-impl FleetSweep {
-    /// An empty sweep.
-    #[must_use]
-    pub fn new() -> Self {
-        FleetSweep::default()
-    }
-
-    /// Appends one trial; returns its index.
-    pub fn push(&mut self, label: impl Into<String>, cfg: FleetConfig) -> usize {
-        let index = self.trials.len();
-        self.trials.push(FleetTrial {
-            index,
-            label: label.into(),
-            cfg,
-        });
-        index
-    }
-
-    /// Builder-style [`FleetSweep::push`].
-    #[must_use]
-    pub fn trial(mut self, label: impl Into<String>, cfg: FleetConfig) -> Self {
-        self.push(label, cfg);
-        self
-    }
-
-    /// Applies a transform to every trial's base cluster config (e.g.
-    /// `ClusterConfig::quick` for smoke runs).
-    #[must_use]
-    pub fn map_base(
-        mut self,
-        mut f: impl FnMut(ddp_core::ClusterConfig) -> ddp_core::ClusterConfig,
-    ) -> Self {
-        for t in &mut self.trials {
-            t.cfg.base = f(t.cfg.base.clone());
-        }
-        self
-    }
-
-    /// Number of trials.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.trials.len()
-    }
-
-    /// True if the sweep holds no trials.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.trials.is_empty()
-    }
-
-    /// The declared trials, in order.
-    #[must_use]
-    pub fn trials(&self) -> &[FleetTrial] {
-        &self.trials
-    }
-
-    /// Consumes the sweep into its trials.
-    #[must_use]
-    pub fn into_trials(self) -> Vec<FleetTrial> {
-        self.trials
-    }
-}
-
-/// One completed fleet trial: the aggregate summary, run-level counters
-/// over the merged statistics, and the per-shard breakdown.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FleetRecord {
-    /// Position of the trial in its sweep.
-    pub index: usize,
-    /// The trial's label.
-    pub label: String,
-    /// The DDP model the fleet ran.
-    pub model: DdpModel,
-    /// Number of shards.
-    pub shards: u16,
-    /// The key→shard placement used.
-    pub placement: Placement,
-    /// Fleet-wide condensed metrics (see
-    /// [`FleetReport::aggregate`](ddp_core::FleetReport::aggregate)).
-    pub summary: RunSummary,
-    /// Fault/transaction counters over the merged per-shard statistics.
-    pub counters: RunCounters,
-    /// Per-shard throughput, requests per simulated second.
-    pub shard_throughput: Vec<f64>,
-    /// Completed requests per shard.
-    pub shard_completed: Vec<u64>,
-    /// The popularity mass each shard was provisioned for.
-    pub offered_mass: Vec<f64>,
-    /// Shard-imbalance index: max over shards of completed requests
-    /// divided by the mean (1.0 = perfectly balanced).
-    pub imbalance: f64,
-    /// Transaction/scope groups re-homed because their natural keys
-    /// spanned shards.
-    pub cross_shard_groups: u64,
-}
-
-impl FleetRecord {
-    /// Condenses one finished fleet simulation into a record. The
-    /// simulation must already have run; calling `run` here again returns
-    /// the cached report.
-    #[must_use]
-    pub fn from_simulation(index: usize, label: String, sim: &mut FleetSimulation) -> Self {
-        let report = sim.run();
-        FleetRecord {
-            index,
-            label,
-            model: report.model,
-            shards: report.shards,
-            placement: report.placement,
-            summary: report.aggregate,
-            counters: RunCounters::from_stats(&sim.merged_stats()),
-            shard_throughput: report.per_shard.iter().map(|s| s.throughput).collect(),
-            shard_completed: report.shard_completed,
-            offered_mass: report.offered_mass,
-            imbalance: report.imbalance,
-            cross_shard_groups: report.cross_shard_groups,
-        }
-    }
-}
-
-/// Serializes one fleet record as a single JSON-lines object (`kind`
-/// `fleet_record`), including the per-shard breakdown as arrays.
-#[must_use]
-pub fn fleet_record_to_json(r: &FleetRecord) -> String {
-    let mut o = JsonObject::new();
-    o.u64("trial", r.index as u64);
-    o.str("kind", "fleet_record");
-    o.str("label", &r.label);
-    o.str("model", &r.model.to_string());
-    o.u64("shards", u64::from(r.shards));
-    o.str("placement", r.placement.name());
-    o.f64("throughput", r.summary.throughput);
-    o.f64("mean_access_ns", r.summary.mean_access_ns);
-    o.f64("p95_read_ns", r.summary.p95_read_ns);
-    o.f64("p95_write_ns", r.summary.p95_write_ns);
-    o.f64("vp_dp_lag_mean_ns", r.summary.vp_dp_lag_mean_ns);
-    o.f64("imbalance", r.imbalance);
-    o.u64("cross_shard_groups", r.cross_shard_groups);
-    o.u64("measured_ns", r.counters.measured_ns);
-    o.raw("shard_completed", &u64_array(&r.shard_completed));
-    o.raw("shard_throughput", &f64_array(&r.shard_throughput));
-    o.raw("offered_mass", &f64_array(&r.offered_mass));
-    o.finish()
+/// Appends a sharded record's breakdown fields to its JSON object, after
+/// the [`record_fields`](crate::fields::record_fields) columns.
+pub(crate) fn breakdown_json(o: &mut JsonObject, b: &ShardBreakdown) {
+    o.u64("shards", b.shard_completed.len() as u64);
+    o.str("placement", b.placement.name());
+    o.f64("imbalance", b.imbalance);
+    o.u64("cross_shard_groups", b.cross_shard_groups);
+    o.raw("shard_completed", &u64_array(&b.shard_completed));
+    o.raw("shard_throughput", &f64_array(&b.shard_throughput));
+    o.raw("offered_mass", &f64_array(&b.offered_mass));
 }
 
 fn u64_array(values: &[u64]) -> String {
@@ -189,98 +44,66 @@ fn f64_array(values: &[f64]) -> String {
     format!("[{}]", body.join(","))
 }
 
-/// Runs every fleet trial on `threads` workers and returns, in sweep
-/// order, each trial's record plus its drained per-shard trace and
-/// timeline dumps (empty unless the base config enabled them). The
-/// sharded counterpart of
-/// [`run_sweep_instrumented`](crate::run_sweep_instrumented), with the
-/// same determinism contract.
-#[must_use]
-#[allow(clippy::type_complexity)]
-pub fn run_fleet_sweep_instrumented(
-    name: &str,
-    sweep: FleetSweep,
-    threads: usize,
-) -> Vec<(FleetRecord, Vec<(u16, TraceDump)>, Vec<(u16, TimelineDump)>)> {
-    let trials = sweep.into_trials();
-    let labels: Vec<String> = trials.iter().map(|t| t.label.clone()).collect();
-    run_pool(name, "fleet trials", &labels, threads, |i| {
-        let trial = &trials[i];
-        let mut sim = FleetSimulation::new(trial.cfg.clone());
-        sim.run();
-        let record = FleetRecord::from_simulation(trial.index, trial.label.clone(), &mut sim);
-        let traces = sim.take_traces();
-        let timelines = sim.take_timelines();
-        (record, traces, timelines)
-    })
-}
-
-/// [`run_fleet_sweep_instrumented`] without the timeline dumps.
-#[must_use]
-pub fn run_fleet_sweep_traced(
-    name: &str,
-    sweep: FleetSweep,
-    threads: usize,
-) -> Vec<(FleetRecord, Vec<(u16, TraceDump)>)> {
-    run_fleet_sweep_instrumented(name, sweep, threads)
-        .into_iter()
-        .map(|(record, traces, _)| (record, traces))
-        .collect()
-}
-
-/// [`run_fleet_sweep_traced`] without the trace dumps.
-#[must_use]
-pub fn run_fleet_sweep(name: &str, sweep: FleetSweep, threads: usize) -> Vec<FleetRecord> {
-    run_fleet_sweep_traced(name, sweep, threads)
-        .into_iter()
-        .map(|(record, _)| record)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use ddp_core::{ClusterConfig, Consistency, Persistency};
+    use crate::exec::run_sweep;
+    use crate::json::record_to_json;
+    use crate::record::RunRecord;
+    use crate::sweep::Sweep;
+    use ddp_core::{ClusterConfig, Consistency, DdpModel, Persistency};
 
-    fn tiny_fleet(shards: u16) -> FleetSweep {
-        let mut sweep = FleetSweep::new();
+    fn tiny_fleet(shards: u16) -> Sweep {
+        let mut sweep = Sweep::new();
         let causal = DdpModel::new(Consistency::Causal, Persistency::Synchronous);
         for model in [DdpModel::baseline(), causal] {
             let mut cfg = ClusterConfig::micro21(model).quick();
             cfg.warmup_requests = 20;
             cfg.measured_requests = 200;
-            sweep.push(format!("{model} x{shards}"), FleetConfig::new(cfg, shards));
+            sweep.push(format!("{model} x{shards}"), cfg.with_shards(shards));
         }
         sweep
     }
 
+    fn records(sweep: Sweep, threads: usize) -> Vec<RunRecord> {
+        run_sweep("fleet-test", sweep, threads)
+            .into_iter()
+            .map(|t| t.record)
+            .collect()
+    }
+
     #[test]
     fn records_come_back_in_order_and_complete() {
-        let records = run_fleet_sweep("fleet-test", tiny_fleet(3), 2);
+        let records = records(tiny_fleet(3), 2);
         assert_eq!(records.len(), 2);
         for (i, r) in records.iter().enumerate() {
             assert_eq!(r.index, i);
-            assert_eq!(r.shards, 3);
-            assert_eq!(r.shard_completed.len(), 3);
+            let shards = r.shards.as_ref().expect("sharded record");
+            assert_eq!(shards.shard_completed.len(), 3);
             assert!(r.summary.throughput > 0.0);
         }
     }
 
     #[test]
     fn thread_count_does_not_change_fleet_results() {
-        let sequential = run_fleet_sweep("fleet-test", tiny_fleet(4), 1);
-        let parallel = run_fleet_sweep("fleet-test", tiny_fleet(4), 4);
+        let sequential = records(tiny_fleet(4), 1);
+        let parallel = records(tiny_fleet(4), 4);
         assert_eq!(sequential, parallel);
     }
 
     #[test]
     fn record_json_carries_the_breakdown() {
-        let records = run_fleet_sweep("fleet-test", tiny_fleet(2), 1);
-        let line = fleet_record_to_json(&records[0]);
-        assert!(line.contains("\"kind\":\"fleet_record\""), "{line}");
+        let records = records(tiny_fleet(2), 1);
+        let line = record_to_json(&records[0]);
+        assert!(line.contains("\"max_active_compactions\":"), "{line}");
         assert!(line.contains("\"shards\":2"), "{line}");
         assert!(line.contains("\"placement\":\"hash\""), "{line}");
+        assert!(line.contains("\"imbalance\":"), "{line}");
         assert!(line.contains("\"shard_completed\":["), "{line}");
         assert!(line.contains("\"offered_mass\":["), "{line}");
+        // The breakdown follows every shared column.
+        assert!(
+            line.find("\"max_active_compactions\"") < line.find("\"shards\""),
+            "{line}"
+        );
     }
 }

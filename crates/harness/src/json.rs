@@ -185,8 +185,10 @@ pub(crate) fn json_events(events: &[(u8, u64)]) -> String {
 ///
 /// The field list comes from [`record_fields`](crate::fields::record_fields)
 /// — the same schema the CSV writer walks, so the two formats cannot
-/// drift. Records contain only simulation output, so the serialized form
-/// is byte-identical no matter how many threads executed the sweep.
+/// drift. A sharded record's per-shard breakdown follows those columns
+/// (JSON only; see [`crate::fleet`]). Records contain only simulation
+/// output, so the serialized form is byte-identical no matter how many
+/// threads executed the sweep.
 #[must_use]
 pub fn record_to_json(r: &RunRecord) -> String {
     let mut o = JsonObject::new();
@@ -197,6 +199,9 @@ pub fn record_to_json(r: &RunRecord) -> String {
             FieldValue::Str(v) => o.str(name, &v),
             FieldValue::Pairs(v) => o.raw(name, &json_events(v)),
         }
+    }
+    if let Some(shards) = &r.shards {
+        crate::fleet::breakdown_json(&mut o, shards);
     }
     o.finish()
 }

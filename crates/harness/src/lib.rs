@@ -13,7 +13,9 @@
 //!    `DDP_THREADS` control. Records are written into index-keyed slots
 //!    and contain only simulation output, so stdout tables and JSON
 //!    streams are **byte-identical regardless of thread count or
-//!    completion order**; progress goes to stderr.
+//!    completion order**; progress goes to stderr. A trial whose config
+//!    has `shards > 1` runs through the same path and yields the same
+//!    record type, with a per-shard breakdown (see [`fleet`]).
 //! 3. **Structured output + presentation** ([`JsonLinesWriter`],
 //!    [`record_to_json`], [`print_row`]/[`print_rule`]/[`bar`],
 //!    [`ratio`]/[`normalized`]) — a hand-rolled JSON-lines writer (the
@@ -34,7 +36,10 @@
 //!     cfg.measured_requests = 200;
 //!     cfg
 //! });
-//! let records = run_sweep(sweep, 4);
+//! let records: Vec<_> = run_sweep("doc", sweep, 4)
+//!     .into_iter()
+//!     .map(|t| t.record)
+//!     .collect();
 //! let grid = ModelGrid::new(&records);
 //! assert!(grid.baseline().summary.throughput > 0.0);
 //! ```
@@ -58,28 +63,16 @@ pub mod trace;
 
 pub use args::{default_threads, HarnessArgs};
 pub use csv::{csv_header, escape_csv, record_to_csv, CsvWriter};
-pub use exec::{run_sweep, run_sweep_instrumented, run_sweep_named, run_sweep_traced, Harness};
+pub use exec::{run_sweep, Harness, TrialOutput};
 pub use fields::{record_fields, FieldValue};
-pub use fleet::{
-    fleet_record_to_json, run_fleet_sweep, run_fleet_sweep_instrumented, run_fleet_sweep_traced,
-    FleetRecord, FleetSweep, FleetTrial,
-};
 pub use json::{escape_json, json_f64, record_to_json, unescape_json, JsonLinesWriter, JsonObject};
 pub use progress::{available_threads, run_pool, Stopwatch};
 pub use record::{RunCounters, RunRecord};
-pub use seeds::{
-    aggregate_records, aggregate_to_json, replicate, reseed, run_sweep_seeded, SeedAggregate,
-    SeedStat,
-};
+pub use seeds::{aggregate_records, aggregate_to_json, replicate, reseed, SeedAggregate, SeedStat};
 pub use sweep::{ModelGrid, Sweep, Trial};
 pub use table::{bar, normalized, print_row, print_rule, ratio};
-pub use timeline::{
-    fleet_timeline_end_to_json, fleet_timeline_window_to_json, timeline_end_to_json,
-    timeline_fields, timeline_window_to_json,
-};
-pub use trace::{
-    fleet_trace_end_to_json, fleet_trace_event_to_json, trace_end_to_json, trace_event_to_json,
-};
+pub use timeline::{timeline_end_to_json, timeline_fields, timeline_window_to_json};
+pub use trace::{trace_end_to_json, trace_event_to_json};
 
 use ddp_core::{ClusterConfig, DdpModel, RunSummary, Simulation};
 
@@ -97,10 +90,7 @@ const _: () = {
     assert_send::<RunRecord>();
     assert_send::<RunSummary>();
     assert_send::<Sweep>();
-    assert_send::<ddp_core::FleetSimulation>();
-    assert_send::<ddp_core::FleetConfig>();
-    assert_send::<FleetRecord>();
-    assert_send::<FleetSweep>();
+    assert_send::<TrialOutput>();
 };
 
 /// The experiment length used by the figure harnesses. Large enough for
@@ -113,30 +103,9 @@ pub fn figure_config(model: DdpModel) -> ClusterConfig {
     cfg
 }
 
-/// Runs one experiment and returns its condensed summary.
-#[must_use]
-pub fn measure(cfg: ClusterConfig) -> RunSummary {
-    Simulation::new(cfg).run().summary
-}
-
-/// Runs one experiment and returns both the summary and the simulation
-/// (for statistic counters the summary does not carry).
-#[must_use]
-pub fn measure_sim(cfg: ClusterConfig) -> (RunSummary, Simulation) {
-    let mut sim = Simulation::new(cfg);
-    let summary = sim.run().summary;
-    (summary, sim)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn measure_produces_throughput() {
-        let cfg = ClusterConfig::micro21(DdpModel::baseline()).quick();
-        assert!(measure(cfg).throughput > 0.0);
-    }
 
     #[test]
     fn figure_config_lengths() {

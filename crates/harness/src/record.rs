@@ -1,6 +1,6 @@
 //! The per-trial result record the executor produces.
 
-use ddp_core::{DdpModel, RunStats, RunSummary, Simulation};
+use ddp_core::{DdpModel, RunStats, RunSummary, ShardBreakdown, Simulation};
 
 /// Run-level counters that complement [`RunSummary`]: the fault machinery,
 /// transaction outcomes, and the run length — everything the fault sweep
@@ -87,7 +87,8 @@ impl RunCounters {
 }
 
 /// One completed trial: the grid position, the model, the condensed
-/// summary, and the run-level counters.
+/// summary, the run-level counters, and — for a sharded trial — the
+/// per-shard breakdown.
 ///
 /// Records are pure simulation output — no host wall-clock, no thread
 /// ids — so a sweep's record stream is byte-identical no matter how many
@@ -102,8 +103,15 @@ pub struct RunRecord {
     pub model: DdpModel,
     /// Condensed metrics (what the figures plot).
     pub summary: RunSummary,
-    /// Fault/transaction counters and the run length.
+    /// Fault/transaction counters and the run length (over the merged
+    /// statistics of a sharded trial).
     pub counters: RunCounters,
+    /// The per-shard breakdown; `None` for a single replica group. JSON
+    /// only: appended after the [`record_fields`] columns, so CSV rows and
+    /// single-group JSON lines do not carry it.
+    ///
+    /// [`record_fields`]: crate::fields::record_fields
+    pub shards: Option<ShardBreakdown>,
 }
 
 impl RunRecord {
@@ -117,6 +125,7 @@ impl RunRecord {
             model: DdpModel::baseline(),
             summary: RunSummary::from_stats(&RunStats::default()),
             counters: RunCounters::default(),
+            shards: None,
         }
     }
 
@@ -131,7 +140,8 @@ impl RunRecord {
             label,
             model: report.model,
             summary: report.summary,
-            counters: RunCounters::from_stats(sim.cluster().stats()),
+            counters: RunCounters::from_stats(&sim.stats()),
+            shards: report.shards,
         }
     }
 }

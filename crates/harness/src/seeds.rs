@@ -12,7 +12,6 @@
 
 use ddp_core::{ClusterConfig, DdpModel};
 
-use crate::exec::run_sweep_named;
 use crate::json::JsonObject;
 use crate::record::RunRecord;
 use crate::sweep::Sweep;
@@ -168,25 +167,6 @@ pub fn aggregate_records(records: &[RunRecord], cells: usize, seeds: u32) -> Vec
         .collect()
 }
 
-/// Runs `sweep` under `seeds` derived seeds and returns the flat
-/// per-replica records (seed-major, `cells * seeds` of them) plus one
-/// aggregate per original cell. With `seeds == 1` the records are exactly
-/// what [`run_sweep_named`] returns and every aggregate is degenerate
-/// (stddev 0, min == max == mean).
-#[must_use]
-pub fn run_sweep_seeded(
-    name: &str,
-    sweep: Sweep,
-    threads: usize,
-    seeds: u32,
-) -> (Vec<RunRecord>, Vec<SeedAggregate>) {
-    let seeds = seeds.max(1);
-    let cells = sweep.len();
-    let records = run_sweep_named(name, replicate(&sweep, seeds), threads);
-    let aggregates = aggregate_records(&records, cells, seeds);
-    (records, aggregates)
-}
-
 /// Serializes one aggregate as a JSON-lines row (`"kind":"seed_aggregate"`)
 /// for the `--json` stream, alongside the per-replica run records.
 #[must_use]
@@ -217,6 +197,16 @@ pub fn aggregate_to_json(a: &SeedAggregate) -> String {
 mod tests {
     use super::*;
     use ddp_core::{Consistency, Persistency};
+
+    /// `tiny_sweep` through [`Harness::run_seeded`](crate::Harness::run_seeded).
+    fn run_seeded(threads: usize, seeds: u32) -> (Vec<RunRecord>, Vec<SeedAggregate>) {
+        let args = crate::HarnessArgs {
+            threads,
+            seeds,
+            ..crate::HarnessArgs::sequential()
+        };
+        crate::Harness::new("seeds-test", args).run_seeded(tiny_sweep())
+    }
 
     fn tiny_sweep() -> Sweep {
         let mut cfg = ClusterConfig::micro21(DdpModel::baseline()).quick();
@@ -280,7 +270,7 @@ mod tests {
 
     #[test]
     fn seeded_run_aggregates_per_cell() {
-        let (records, aggregates) = run_sweep_seeded("seeds-test", tiny_sweep(), 4, 3);
+        let (records, aggregates) = run_seeded(4, 3);
         assert_eq!(records.len(), 6);
         assert_eq!(aggregates.len(), 2);
         for a in &aggregates {
@@ -301,8 +291,11 @@ mod tests {
 
     #[test]
     fn one_seed_matches_the_unreplicated_sweep() {
-        let plain = run_sweep_named("seeds-plain", tiny_sweep(), 1);
-        let (records, aggregates) = run_sweep_seeded("seeds-one", tiny_sweep(), 1, 1);
+        let plain: Vec<RunRecord> = crate::exec::run_sweep("seeds-plain", tiny_sweep(), 1)
+            .into_iter()
+            .map(|t| t.record)
+            .collect();
+        let (records, aggregates) = run_seeded(1, 1);
         assert_eq!(plain, records);
         for (a, r) in aggregates.iter().zip(&plain) {
             assert_eq!(a.throughput.mean, r.summary.throughput);
@@ -312,7 +305,7 @@ mod tests {
 
     #[test]
     fn aggregate_json_row_is_tagged() {
-        let (_, aggregates) = run_sweep_seeded("seeds-json", tiny_sweep(), 2, 2);
+        let (_, aggregates) = run_seeded(2, 2);
         let line = aggregate_to_json(&aggregates[0]);
         assert!(line.contains("\"kind\":\"seed_aggregate\""), "{line}");
         assert!(line.contains("\"seeds\":2"), "{line}");

@@ -89,6 +89,22 @@ impl Sweep {
         self
     }
 
+    /// Checks every trial's configuration (see [`ClusterConfig::validate`],
+    /// shard checks included), so a bad trial is refused before any trial
+    /// runs.
+    ///
+    /// # Errors
+    ///
+    /// Names the first invalid trial (index and label) and the reason.
+    pub fn validate(&self) -> Result<(), String> {
+        for t in &self.trials {
+            t.cfg
+                .validate()
+                .map_err(|e| format!("trial {} ({}): {e}", t.index, t.label))?;
+        }
+        Ok(())
+    }
+
     /// Number of trials in the sweep.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -129,7 +145,10 @@ impl Sweep {
 ///     c.measured_requests = 200;
 ///     c
 /// };
-/// let records = run_sweep(Sweep::grid25(&mut cfg), 2);
+/// let records: Vec<_> = run_sweep("grid", Sweep::grid25(&mut cfg), 2)
+///     .into_iter()
+///     .map(|t| t.record)
+///     .collect();
 /// let grid = ModelGrid::new(&records);
 /// assert_eq!(grid.baseline().model, DdpModel::baseline());
 /// ```
@@ -204,5 +223,19 @@ mod tests {
             .trials()
             .iter()
             .all(|t| t.cfg.measured_requests == 2_000));
+    }
+
+    #[test]
+    fn validation_names_the_one_bad_trial() {
+        let good = ClusterConfig::micro21(DdpModel::baseline()).quick();
+        let sweep = Sweep::new()
+            .trial("ok", good.clone())
+            .trial("too many shards", good.clone().with_shards(101))
+            .trial("also ok", good.with_shards(4));
+        let err = sweep.validate().expect_err("101 shards over 100 clients");
+        assert!(err.contains("trial 1 (too many shards)"), "{err}");
+        assert!(err.contains("100 clients cannot cover 101 shards"), "{err}");
+        let fixed = Sweep::new().trial("ok", ClusterConfig::micro21(DdpModel::baseline()));
+        assert!(fixed.validate().is_ok());
     }
 }

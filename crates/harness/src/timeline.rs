@@ -81,42 +81,10 @@ pub fn timeline_end_to_json(trial: usize, label: &str, dump: &TimelineDump) -> S
     o.finish()
 }
 
-/// [`timeline_window_to_json`] for a sharded fleet trial: the same line
-/// with a leading `shard` field. The single-cluster serializer is
-/// untouched, so existing timeline streams stay byte-identical.
-#[must_use]
-pub fn fleet_timeline_window_to_json(
-    trial: usize,
-    shard: u16,
-    window: usize,
-    w: &TimelineWindow,
-) -> String {
-    let line = timeline_window_to_json(trial, window, w);
-    let rest = line
-        .strip_prefix('{')
-        .expect("timeline lines are JSON objects");
-    format!("{{\"shard\":{shard},{rest}")
-}
-
-/// [`timeline_end_to_json`] for a sharded fleet trial: one trailer per
-/// `(trial, shard)` stream, with a leading `shard` field.
-#[must_use]
-pub fn fleet_timeline_end_to_json(
-    trial: usize,
-    shard: u16,
-    label: &str,
-    dump: &TimelineDump,
-) -> String {
-    let line = timeline_end_to_json(trial, label, dump);
-    let rest = line
-        .strip_prefix('{')
-        .expect("timeline trailers are JSON objects");
-    format!("{{\"shard\":{shard},{rest}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::shard_line;
     use ddp_core::{ClusterConfig, DdpModel, Simulation, TraceConfig};
     use ddp_sim::Duration;
 
@@ -167,10 +135,10 @@ mod tests {
     fn fleet_lines_prepend_the_shard_and_change_nothing_else() {
         let dump = dump();
         let base = timeline_window_to_json(2, 0, &dump.windows[0]);
-        let sharded = fleet_timeline_window_to_json(2, 3, 0, &dump.windows[0]);
+        let sharded = shard_line(3, &base);
         assert_eq!(sharded, format!("{{\"shard\":3,{}", &base[1..]));
 
-        let end = fleet_timeline_end_to_json(0, 1, "<Lin,Sync>", &dump);
+        let end = shard_line(1, &timeline_end_to_json(0, "<Lin,Sync>", &dump));
         assert!(end.starts_with("{\"shard\":1,\"trial\":0,"), "{end}");
         assert!(end.contains("\"kind\":\"timeline_end\""), "{end}");
     }

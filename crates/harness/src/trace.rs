@@ -105,33 +105,10 @@ pub fn trace_end_to_json(trial: usize, label: &str, dump: &TraceDump) -> String 
     o.finish()
 }
 
-/// [`trace_event_to_json`] for a sharded fleet trial: the same line with
-/// a leading `shard` field identifying the event's home replica group.
-/// The single-cluster serializer is untouched, so existing trace streams
-/// stay byte-identical.
-#[must_use]
-pub fn fleet_trace_event_to_json(trial: usize, shard: u16, r: &TraceRecord) -> String {
-    let line = trace_event_to_json(trial, r);
-    let rest = line
-        .strip_prefix('{')
-        .expect("trace lines are JSON objects");
-    format!("{{\"shard\":{shard},{rest}")
-}
-
-/// [`trace_end_to_json`] for a sharded fleet trial: one trailer per
-/// `(trial, shard)` stream, with a leading `shard` field.
-#[must_use]
-pub fn fleet_trace_end_to_json(trial: usize, shard: u16, label: &str, dump: &TraceDump) -> String {
-    let line = trace_end_to_json(trial, label, dump);
-    let rest = line
-        .strip_prefix('{')
-        .expect("trace trailers are JSON objects");
-    format!("{{\"shard\":{shard},{rest}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::shard_line;
 
     fn rec(kind: TraceEventKind) -> TraceRecord {
         TraceRecord {
@@ -204,14 +181,14 @@ mod tests {
     #[test]
     fn fleet_lines_prepend_the_shard_and_change_nothing_else() {
         let base = trace_event_to_json(2, &rec(TraceEventKind::WriteDp));
-        let sharded = fleet_trace_event_to_json(2, 3, &rec(TraceEventKind::WriteDp));
+        let sharded = shard_line(3, &base);
         assert_eq!(sharded, format!("{{\"shard\":3,{}", &base[1..]));
 
         let dump = TraceDump {
             events: Vec::new(),
             dropped: 0,
         };
-        let end = fleet_trace_end_to_json(0, 1, "<Lin,Sync>", &dump);
+        let end = shard_line(1, &trace_end_to_json(0, "<Lin,Sync>", &dump));
         assert!(end.starts_with("{\"shard\":1,\"trial\":0,"), "{end}");
         assert!(end.contains("\"kind\":\"trace_end\""), "{end}");
     }

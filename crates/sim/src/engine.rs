@@ -45,55 +45,25 @@ pub trait Model {
     fn handle(&mut self, ctx: &mut Context<'_, Self::Event>, event: Self::Event);
 }
 
-/// Where a [`Context`] sends the events a model schedules: the engine's
-/// own queue (the normal dispatch path) or a caller-provided buffer (used
-/// by composite models that re-wrap inner events before forwarding them to
-/// the outer queue — see [`Context::buffered`]).
-#[derive(Debug)]
-enum Sink<'a, E> {
-    Queue(&'a mut EventQueue<E>),
-    Buffer(&'a mut Vec<(SimTime, E)>),
-}
-
-/// Handle given to a model during event dispatch: current time plus the
-/// ability to schedule future events.
+/// Handle given to a model during event dispatch: current time, the lane
+/// of the event being handled, and the ability to schedule future events.
+///
+/// Every event a model schedules lands on the lane of the event being
+/// handled. A composite model that runs several sub-models on one engine
+/// seeds each sub-model's first events on its own lane (see
+/// [`Engine::schedule_lane`]) and routes each dispatch by
+/// [`Context::lane`]; the sub-models never name a lane themselves, and
+/// equal-time events keep their FIFO order across lanes.
 #[derive(Debug)]
 pub struct Context<'a, E> {
     now: SimTime,
     seq: u64,
-    sink: Sink<'a, E>,
+    lane: u16,
+    queue: &'a mut EventQueue<E>,
     stop: &'a mut bool,
 }
 
 impl<'a, E> Context<'a, E> {
-    /// A context whose scheduled events land in `buffer` (in push order)
-    /// instead of an engine queue.
-    ///
-    /// This is the hook for *composite* models: an outer model handling a
-    /// wrapped event can hand the inner model a buffered context at the
-    /// outer dispatch's time and sequence number, then forward the buffered
-    /// events — re-wrapped — into the real queue in the same relative
-    /// order. Because the forwarding preserves push order, the outer
-    /// queue's FIFO tie-breaking at equal timestamps matches what the
-    /// inner model would have seen running alone.
-    ///
-    /// `stop` is set by [`Context::request_stop`], exactly as in engine
-    /// dispatch; the caller decides what an inner stop means.
-    #[must_use]
-    pub fn buffered(
-        now: SimTime,
-        seq: u64,
-        buffer: &'a mut Vec<(SimTime, E)>,
-        stop: &'a mut bool,
-    ) -> Self {
-        Context {
-            now,
-            seq,
-            sink: Sink::Buffer(buffer),
-            stop,
-        }
-    }
-
     /// The simulated time of the event being handled.
     #[must_use]
     pub fn now(&self) -> SimTime {
@@ -109,23 +79,20 @@ impl<'a, E> Context<'a, E> {
         self.seq
     }
 
-    /// Schedules `event` at absolute time `due`.
+    /// The lane of the event being handled; every event scheduled through
+    /// this context lands on the same lane.
+    #[must_use]
+    pub fn lane(&self) -> u16 {
+        self.lane
+    }
+
+    /// Schedules `event` at absolute time `due`, on the current lane.
     ///
     /// # Panics
     ///
     /// Panics if `due` is before [`Context::now`].
     pub fn schedule_at(&mut self, due: SimTime, event: E) {
-        match &mut self.sink {
-            Sink::Queue(queue) => queue.push(due, event),
-            Sink::Buffer(buffer) => {
-                assert!(
-                    due >= self.now,
-                    "event scheduled at {due:?}, before current time {:?}",
-                    self.now
-                );
-                buffer.push((due, event));
-            }
-        }
+        self.queue.push_lane(due, self.lane, event);
     }
 
     /// Schedules `event` after a delay from the current time.
@@ -143,14 +110,10 @@ impl<'a, E> Context<'a, E> {
     }
 
     /// Returns the number of pending events (excluding the one being
-    /// handled). For a buffered context this counts only the events pushed
-    /// through it so far.
+    /// handled), on every lane.
     #[must_use]
     pub fn pending_events(&self) -> usize {
-        match &self.sink {
-            Sink::Queue(queue) => queue.len(),
-            Sink::Buffer(buffer) => buffer.len(),
-        }
+        self.queue.len()
     }
 }
 
@@ -175,9 +138,15 @@ impl<E> Engine<E> {
         }
     }
 
-    /// Schedules an event before or between runs.
+    /// Schedules an event on lane 0 before or between runs.
     pub fn schedule(&mut self, due: SimTime, event: E) {
         self.queue.push(due, event);
+    }
+
+    /// Schedules an event on `lane` before or between runs; the events its
+    /// handler schedules inherit the lane.
+    pub fn schedule_lane(&mut self, due: SimTime, lane: u16, event: E) {
+        self.queue.push_lane(due, lane, event);
     }
 
     /// The current simulated time (the timestamp of the last dispatched
@@ -223,13 +192,14 @@ impl<E> Engine<E> {
                 }
                 Some(_) => {}
             }
-            let (t, event) = self.queue.pop().expect("peeked event must pop");
+            let (t, lane, event) = self.queue.pop_lane().expect("peeked event must pop");
             self.now = t;
             self.dispatched += 1;
             let mut ctx = Context {
                 now: t,
                 seq: self.dispatched,
-                sink: Sink::Queue(&mut self.queue),
+                lane,
+                queue: &mut self.queue,
                 stop: &mut stop,
             };
             model.handle(&mut ctx, event);
@@ -349,34 +319,43 @@ mod tests {
         assert_eq!(end, SimTime::from_nanos(15));
     }
 
-    #[test]
-    fn buffered_context_records_pushes_in_order() {
-        let mut buf: Vec<(SimTime, u32)> = Vec::new();
-        let mut stop = false;
-        {
-            let mut ctx = Context::buffered(SimTime::from_nanos(10), 3, &mut buf, &mut stop);
-            assert_eq!(ctx.now(), SimTime::from_nanos(10));
-            assert_eq!(ctx.dispatch_seq(), 3);
-            ctx.schedule_in(Duration::from_nanos(5), 1);
-            ctx.schedule_at(SimTime::from_nanos(10), 2);
-            assert_eq!(ctx.pending_events(), 2);
-            ctx.request_stop();
+    /// Model that records `(time, lane, event)` and, for events below 10,
+    /// schedules a follow-up `event + 10` at the same time.
+    struct LaneRecorder {
+        seen: Vec<(SimTime, u16, u32)>,
+    }
+
+    impl Model for LaneRecorder {
+        type Event = u32;
+        fn handle(&mut self, ctx: &mut Context<'_, u32>, event: u32) {
+            self.seen.push((ctx.now(), ctx.lane(), event));
+            if event < 10 {
+                ctx.schedule_in(Duration::ZERO, event + 10);
+            }
         }
-        assert!(stop);
-        // Push order, not time order: the caller forwards in this order so
-        // outer-queue FIFO tie-breaking matches an unwrapped run.
-        assert_eq!(
-            buf,
-            vec![(SimTime::from_nanos(15), 1), (SimTime::from_nanos(10), 2)]
-        );
     }
 
     #[test]
-    #[should_panic(expected = "before current time")]
-    fn buffered_context_rejects_past_events() {
-        let mut buf: Vec<(SimTime, u32)> = Vec::new();
-        let mut stop = false;
-        let mut ctx = Context::buffered(SimTime::from_nanos(10), 1, &mut buf, &mut stop);
-        ctx.schedule_at(SimTime::from_nanos(9), 7);
+    fn scheduled_events_inherit_the_lane_and_ties_stay_fifo_across_lanes() {
+        let mut m = LaneRecorder { seen: Vec::new() };
+        let mut e = Engine::new();
+        let t = SimTime::from_nanos(4);
+        e.schedule_lane(t, 2, 1);
+        e.schedule(t, 2);
+        e.schedule_lane(t, 9, 3);
+        e.run(&mut m);
+        // Seeds pop in push order whatever their lanes; each follow-up pops
+        // on its parent's lane, after every earlier push at the same time.
+        assert_eq!(
+            m.seen,
+            vec![
+                (t, 2, 1),
+                (t, 0, 2),
+                (t, 9, 3),
+                (t, 2, 11),
+                (t, 0, 12),
+                (t, 9, 13),
+            ]
+        );
     }
 }

@@ -5,19 +5,33 @@ use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// A scheduled event: a payload due at a given simulated time.
+/// Bits of [`Scheduled::order`] that hold the lane.
+const LANE_BITS: u32 = 16;
+
+/// A scheduled event: a payload due at a given simulated time on a lane.
 ///
 /// Ordering ties at equal timestamps are broken by insertion order, so the
 /// simulation is fully deterministic for a fixed schedule of pushes.
 struct Scheduled<E> {
     due: SimTime,
-    seq: u64,
+    /// Push sequence number in the high 48 bits, lane in the low 16. The
+    /// sequence number is unique, so comparing the whole word compares push
+    /// order and the lane never affects it; packing keeps the entry as small
+    /// as an untagged one.
+    order: u64,
     event: E,
+}
+
+impl<E> Scheduled<E> {
+    fn lane(&self) -> u16 {
+        // Truncation keeps exactly the low LANE_BITS bits.
+        self.order as u16
+    }
 }
 
 impl<E> PartialEq for Scheduled<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
+        self.due == other.due && self.order == other.order
     }
 }
 
@@ -36,7 +50,7 @@ impl<E> Ord for Scheduled<E> {
         other
             .due
             .cmp(&self.due)
-            .then_with(|| other.seq.cmp(&self.seq))
+            .then_with(|| other.order.cmp(&self.order))
     }
 }
 
@@ -45,6 +59,13 @@ impl<E> Ord for Scheduled<E> {
 /// Events pop in nondecreasing time order; events scheduled for the same
 /// instant pop in the order they were pushed (FIFO), which keeps runs
 /// deterministic and makes "send A then B" mean A is handled first.
+///
+/// Inside the engine every entry also carries a `u16` *lane* that a
+/// composite model uses to route the event to one of several sub-models
+/// (see [`Context::lane`]); `push` and `pop` use lane 0. Lanes never
+/// affect ordering: FIFO holds across lanes too.
+///
+/// [`Context::lane`]: crate::Context::lane
 ///
 /// # Examples
 ///
@@ -85,28 +106,46 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedules `event` for time `due`.
+    /// Schedules `event` for time `due` on lane 0.
     ///
     /// # Panics
     ///
     /// Panics if `due` is earlier than the time of the last popped event:
     /// scheduling into the past would violate causality.
     pub fn push(&mut self, due: SimTime, event: E) {
+        self.push_lane(due, 0, event);
+    }
+
+    /// Schedules `event` for time `due` on `lane`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `due` is earlier than the time of the last popped event.
+    pub(crate) fn push_lane(&mut self, due: SimTime, lane: u16, event: E) {
         assert!(
             due >= self.last_popped,
             "event scheduled at {due:?}, before current time {:?}",
             self.last_popped
         );
-        let seq = self.next_seq;
+        assert!(
+            self.next_seq < 1 << (u64::BITS - LANE_BITS),
+            "event sequence numbers exhausted"
+        );
+        let order = (self.next_seq << LANE_BITS) | u64::from(lane);
         self.next_seq += 1;
-        self.heap.push(Scheduled { due, seq, event });
+        self.heap.push(Scheduled { due, order, event });
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_lane().map(|(due, _, event)| (due, event))
+    }
+
+    /// Removes and returns the earliest event with its lane, if any.
+    pub(crate) fn pop_lane(&mut self) -> Option<(SimTime, u16, E)> {
         let s = self.heap.pop()?;
         self.last_popped = s.due;
-        Some((s.due, s.event))
+        Some((s.due, s.lane(), s.event))
     }
 
     /// Returns the time of the earliest pending event, if any.
@@ -190,6 +229,20 @@ mod tests {
         q.pop();
         q.push(SimTime::from_nanos(100), 2);
         assert_eq!(q.pop(), Some((SimTime::from_nanos(100), 2)));
+    }
+
+    #[test]
+    fn lanes_ride_along_without_changing_order() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_nanos(5);
+        q.push_lane(t, 7, "a");
+        q.push_lane(t, 0, "b");
+        q.push_lane(t, u16::MAX, "c");
+        q.push_lane(SimTime::from_nanos(1), 3, "first");
+        assert_eq!(q.pop_lane(), Some((SimTime::from_nanos(1), 3, "first")));
+        assert_eq!(q.pop_lane(), Some((t, 7, "a")));
+        assert_eq!(q.pop_lane(), Some((t, 0, "b")));
+        assert_eq!(q.pop_lane(), Some((t, u16::MAX, "c")));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! come straight off the run records.
 
 use ddp_core::{ClusterConfig, Consistency, DdpModel, Persistency};
-use ddp_harness::{default_threads, run_sweep_named, Sweep};
+use ddp_harness::{default_threads, run_sweep, RunRecord, Sweep};
 use ddp_workload::WorkloadSpec;
 
 fn main() {
@@ -41,7 +41,10 @@ fn main() {
         cfg.measured_requests = 10_000;
         sweep.push(model.to_string(), cfg);
     }
-    let records = run_sweep_named("banking", sweep, default_threads());
+    let records: Vec<RunRecord> = run_sweep("banking", sweep, default_threads())
+        .into_iter()
+        .map(|t| t.record)
+        .collect();
 
     println!(
         "{:<36} {:>9} {:>10} {:>10} {:>12}",

@@ -9,7 +9,7 @@
 //! measured performance summary.
 
 use ddp_core::{ClusterConfig, Consistency, DdpModel, ModelTraits, Persistency};
-use ddp_harness::{run_sweep_named, Sweep};
+use ddp_harness::{run_sweep, Sweep};
 
 fn parse_consistency(s: &str) -> Option<Consistency> {
     Some(match s.to_ascii_lowercase().as_str() {
@@ -77,7 +77,7 @@ fn explore(model: DdpModel, clients: u32) {
     println!("  implementability : {}", t.implementability);
 
     println!("\nMeasured ({clients} clients, YCSB-A):");
-    let records = run_sweep_named(
+    let trials = run_sweep(
         "model_explorer",
         Sweep::new().trial(
             model.to_string(),
@@ -85,7 +85,7 @@ fn explore(model: DdpModel, clients: u32) {
         ),
         1,
     );
-    let s = &records[0].summary;
+    let s = &trials[0].record.summary;
     println!("  throughput : {:.2} M req/s", s.throughput / 1e6);
     println!(
         "  mean read  : {:.2} us   (p95 {:.2} us)",

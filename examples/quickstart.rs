@@ -13,7 +13,7 @@
 //! harness, one per core.
 
 use ddp_core::{ClusterConfig, Consistency, DdpModel, Persistency};
-use ddp_harness::{default_threads, run_sweep_named, Sweep};
+use ddp_harness::{default_threads, run_sweep, RunRecord, Sweep};
 
 fn main() {
     println!("DDP quickstart: two models on the paper's 5-server cluster\n");
@@ -28,7 +28,10 @@ fn main() {
         // RDMA, NVM with 400ns writes.
         sweep.push(model.to_string(), ClusterConfig::micro21(model));
     }
-    let records = run_sweep_named("quickstart", sweep, default_threads());
+    let records: Vec<RunRecord> = run_sweep("quickstart", sweep, default_threads())
+        .into_iter()
+        .map(|t| t.record)
+        .collect();
 
     for r in &records {
         let model = r.model;

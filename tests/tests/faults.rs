@@ -2,7 +2,7 @@
 //! and the opt-in guarantee that a zero-fault plan changes nothing.
 
 use ddp_core::{ClusterConfig, Consistency, DdpModel, HistoryChecker, Persistency, Simulation};
-use ddp_harness::{default_threads, run_sweep_named, Sweep};
+use ddp_harness::{default_threads, run_sweep, RunRecord, Sweep};
 use ddp_sim::Duration;
 
 fn tiny(model: DdpModel) -> ClusterConfig {
@@ -31,7 +31,13 @@ fn all_models_complete_under_loss_and_mid_run_crash() {
     // Probe every model's fault-free run length in one parallel sweep; the
     // records carry it, so no per-model probe simulations are needed.
     let threads = default_threads();
-    let probes = run_sweep_named("faults-probe", Sweep::grid25(tiny), threads);
+    let records = |name, sweep| -> Vec<RunRecord> {
+        run_sweep(name, sweep, threads)
+            .into_iter()
+            .map(|t| t.record)
+            .collect()
+    };
+    let probes = records("faults-probe", Sweep::grid25(tiny));
 
     let mut crash_sweep = Sweep::new();
     for model in DdpModel::all() {
@@ -43,7 +49,7 @@ fn all_models_complete_under_loss_and_mid_run_crash() {
             tiny(model).with_loss(0.01).with_crash(2, at, down_for),
         );
     }
-    let records = run_sweep_named("faults-crash", crash_sweep, threads);
+    let records = records("faults-crash", crash_sweep);
 
     for model in DdpModel::all() {
         let r = &records[model.grid_index()];

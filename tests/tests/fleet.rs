@@ -1,13 +1,14 @@
-//! Sharded-fleet integration tests: the degenerate single-shard case
-//! against the solo simulation over the whole 25-model grid, executor
-//! byte-identity at different thread counts, per-shard open-loop
-//! conservation under faults, weak-scaling sanity, and config validation.
+//! Sharded-run integration tests: executor byte-identity at different
+//! thread counts (records and the exported per-shard streams), per-shard
+//! open-loop conservation under faults, weak-scaling sanity, and config
+//! validation.
+
+use std::path::PathBuf;
 
 use ddp_core::{
-    ClusterConfig, Consistency, DdpModel, FleetConfig, FleetSimulation, OpenLoopPlan, Persistency,
-    Placement, Simulation,
+    ClusterConfig, Consistency, DdpModel, OpenLoopPlan, Persistency, Placement, Simulation,
 };
-use ddp_harness::{run_fleet_sweep, FleetSweep};
+use ddp_harness::{run_sweep, Harness, HarnessArgs, Sweep};
 use ddp_sim::Duration;
 
 fn small_cfg(model: DdpModel) -> ClusterConfig {
@@ -17,43 +18,89 @@ fn small_cfg(model: DdpModel) -> ClusterConfig {
     cfg
 }
 
-/// `--shards 1` must be the degenerate case: over the whole 25-model grid
-/// the fleet aggregate equals the solo simulation's summary field for
-/// field (both sides run the same event sequence, so `PartialEq` over the
-/// full summary is exact, not approximate).
-#[test]
-fn one_shard_fleet_matches_solo_grid() {
-    for model in DdpModel::all() {
-        let solo = Simulation::new(small_cfg(model)).run().summary;
-        let fleet = FleetSimulation::new(FleetConfig::new(small_cfg(model), 1)).run();
-        assert_eq!(
-            fleet.aggregate, solo,
-            "model {model} diverged between 1-shard fleet and solo run"
-        );
-        assert_eq!(fleet.shards, 1);
-        assert_eq!(fleet.imbalance, 1.0);
-    }
-}
-
 /// Sharded sweeps honour the executor determinism contract: records over
 /// the 25-model grid are bit-identical at 1 and 4 worker threads.
 #[test]
 fn sharded_sweeps_are_bit_identical_across_thread_counts() {
     let sweep = || {
-        let mut sweep = FleetSweep::new();
+        let mut sweep = Sweep::new();
         for model in DdpModel::all() {
             let mut cfg = small_cfg(model);
             cfg.warmup_requests = 20;
             cfg.measured_requests = 300;
-            sweep.push(format!("{model} S=3"), FleetConfig::new(cfg, 3));
+            sweep.push(format!("{model} S=3"), cfg.with_shards(3));
         }
         sweep
     };
-    let serial = run_fleet_sweep("fleet-determinism", sweep(), 1);
-    let parallel = run_fleet_sweep("fleet-determinism", sweep(), 4);
+    let serial = run_sweep("fleet-determinism", sweep(), 1);
+    let parallel = run_sweep("fleet-determinism", sweep(), 4);
     assert_eq!(serial.len(), 25);
     for (a, b) in serial.iter().zip(&parallel) {
-        assert_eq!(a, b, "trial {} diverged across thread counts", a.label);
+        assert_eq!(
+            a.record, b.record,
+            "trial {} diverged across thread counts",
+            a.record.label
+        );
+    }
+}
+
+/// The files a traced 3-shard sweep writes through the harness are
+/// byte-identical at 1 and 4 threads, carry one stream per shard (each
+/// line led by its shard), and close every `(trial, shard)` stream with
+/// exactly one trailer.
+#[test]
+fn sharded_exports_are_byte_identical_across_thread_counts() {
+    let sweep = || {
+        let causal = DdpModel::new(Consistency::Causal, Persistency::Synchronous);
+        let mut sweep = Sweep::new();
+        for model in [DdpModel::baseline(), causal] {
+            let mut cfg = small_cfg(model);
+            cfg.warmup_requests = 20;
+            cfg.measured_requests = 300;
+            sweep.push(format!("{model} S=3"), cfg.with_shards(3));
+        }
+        sweep
+    };
+    let export = |threads: usize| {
+        let dir =
+            PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("fleet-export-{threads}"));
+        std::fs::create_dir_all(&dir).expect("create output dir");
+        let args = HarnessArgs {
+            threads,
+            trace: Some(dir.join("trace.jsonl")),
+            timeline: Some(dir.join("timeline.jsonl")),
+            ..HarnessArgs::sequential()
+        };
+        let mut harness = Harness::new("fleet-export", args.clone());
+        harness.run(sweep());
+        harness.finish();
+        [args.trace, args.timeline]
+            .map(|p| std::fs::read_to_string(p.expect("path set")).expect("read output"))
+    };
+    let serial = export(1);
+    let parallel = export(4);
+    assert_eq!(serial, parallel, "exports diverged across thread counts");
+
+    for (stream, end_kind) in serial.iter().zip(["trace_end", "timeline_end"]) {
+        for shard in 0..3 {
+            assert!(
+                stream.contains(&format!("{{\"shard\":{shard},")),
+                "no shard {shard} lines in the {end_kind} stream"
+            );
+        }
+        assert!(stream.lines().all(|l| l.starts_with("{\"shard\":")));
+        for trial in 0..2 {
+            for shard in 0..3 {
+                let head = format!("{{\"shard\":{shard},\"trial\":{trial},\"kind\":\"{end_kind}\"");
+                let ends = stream.lines().filter(|l| l.starts_with(&head)).count();
+                assert_eq!(
+                    ends, 1,
+                    "trial {trial} shard {shard}: {ends} {end_kind} lines"
+                );
+            }
+        }
+        let total = stream.matches(&format!("\"kind\":\"{end_kind}\"")).count();
+        assert_eq!(total, 6, "{end_kind} lines");
     }
 }
 
@@ -74,14 +121,13 @@ fn per_shard_conservation_under_open_loop_arrivals_and_faults() {
         .with_crash(1, Duration::from_micros(30), Duration::from_micros(40));
     cfg.clients = 40;
     let shards = 4;
-    let mut sim = FleetSimulation::new(FleetConfig::new(cfg, shards));
+    let mut sim = Simulation::new(cfg.with_shards(shards));
     let report = sim.run();
 
     let mut arrivals_total = 0;
     let mut completed_total = 0;
-    for s in 0..shards {
-        let acct = sim
-            .shard(s)
+    for (s, cluster) in sim.clusters().iter().enumerate() {
+        let acct = cluster
             .open_loop_accounting()
             .expect("open-loop fleet shard must expose accounting");
         assert_eq!(
@@ -95,7 +141,8 @@ fn per_shard_conservation_under_open_loop_arrivals_and_faults() {
     }
     assert!(completed_total > 0);
     assert!(arrivals_total >= completed_total);
-    assert_eq!(report.shards, shards);
+    let breakdown = report.shards.expect("sharded run has a breakdown");
+    assert_eq!(breakdown.shard_completed.len(), usize::from(shards));
 }
 
 /// Weak-scaling sanity behind the `scaling` bin's acceptance criterion:
@@ -109,9 +156,9 @@ fn weak_scaled_uniform_fleet_grows_aggregate_throughput() {
         cfg.clients *= u32::from(shards);
         cfg.warmup_requests *= u64::from(shards);
         cfg.measured_requests *= u64::from(shards);
-        FleetSimulation::new(FleetConfig::new(cfg, shards))
+        Simulation::new(cfg.with_shards(shards))
             .run()
-            .aggregate
+            .summary
             .throughput
     };
     let t1 = run(1);
@@ -127,20 +174,22 @@ fn weak_scaled_uniform_fleet_grows_aggregate_throughput() {
 fn fleet_validation_rejects_degenerate_setups() {
     let base = small_cfg(DdpModel::baseline());
 
-    let err = FleetConfig::new(base.clone(), 0).validate().unwrap_err();
+    let err = base.clone().with_shards(0).validate().unwrap_err();
     assert!(err.contains("at least one shard"), "{err}");
 
     let mut tiny_keys = base.clone();
     tiny_keys.workload.key_space = 4;
-    let err = FleetConfig::new(tiny_keys, 8).validate().unwrap_err();
+    let err = tiny_keys.with_shards(8).validate().unwrap_err();
     assert!(err.contains("key space"), "{err}");
 
     let mut few_clients = base.clone();
     few_clients.clients = 2;
-    let err = FleetConfig::new(few_clients, 8).validate().unwrap_err();
+    let err = few_clients.with_shards(8).validate().unwrap_err();
     assert!(err.contains("clients"), "{err}");
 
-    assert!(FleetConfig::new(base.clone(), 4)
+    assert!(base
+        .clone()
+        .with_shards(4)
         .with_placement(Placement::Range)
         .validate()
         .is_ok());

@@ -2,7 +2,9 @@
 //! JSON-lines correctness, and thread-safety of the simulation stack.
 
 use ddp_core::{ClusterConfig, DdpModel, RunSummary, Simulation};
-use ddp_harness::{escape_json, record_to_json, run_sweep, unescape_json, ModelGrid, Sweep};
+use ddp_harness::{
+    escape_json, record_to_json, run_sweep, unescape_json, ModelGrid, RunRecord, Sweep,
+};
 
 // Compile-time witnesses that everything the executor moves across worker
 // threads is `Send`. If a non-Send field (Rc, raw pointer, thread-local
@@ -16,6 +18,13 @@ const _: () = {
     ddp_harness::assert_send::<ddp_harness::RunRecord>();
 };
 
+fn records(sweep: Sweep, threads: usize) -> Vec<RunRecord> {
+    run_sweep("harness", sweep, threads)
+        .into_iter()
+        .map(|t| t.record)
+        .collect()
+}
+
 fn tiny_grid() -> Sweep {
     Sweep::grid25(|m| {
         let mut cfg = ClusterConfig::micro21(m).quick();
@@ -27,8 +36,8 @@ fn tiny_grid() -> Sweep {
 
 #[test]
 fn parallel_and_sequential_sweeps_are_bit_identical() {
-    let sequential = run_sweep(tiny_grid(), 1);
-    let parallel = run_sweep(tiny_grid(), 4);
+    let sequential = records(tiny_grid(), 1);
+    let parallel = records(tiny_grid(), 4);
     assert_eq!(sequential.len(), DdpModel::COUNT);
     // Records are PartialEq over every field (floats included): the streams
     // must match bit for bit, not approximately.
@@ -41,7 +50,7 @@ fn parallel_and_sequential_sweeps_are_bit_identical() {
 
 #[test]
 fn records_are_addressable_by_grid_index() {
-    let records = run_sweep(tiny_grid(), 4);
+    let records = records(tiny_grid(), 4);
     let grid = ModelGrid::new(&records);
     for model in DdpModel::all() {
         let r = grid.model(model);
@@ -81,7 +90,7 @@ fn record_json_is_one_parseable_line_per_record() {
     let mut cfg = ClusterConfig::micro21(DdpModel::baseline()).quick();
     cfg.warmup_requests = 30;
     cfg.measured_requests = 300;
-    let records = run_sweep(
+    let records = records(
         Sweep::new().trial("hostile \"label\" with \\ and \n inside", cfg),
         1,
     );

@@ -6,7 +6,7 @@
 use ddp_core::{
     ClusterConfig, CompactionConfig, Consistency, DdpModel, Persistency, Simulation, StoreKind,
 };
-use ddp_harness::{record_to_json, run_sweep, Sweep};
+use ddp_harness::{record_to_json, run_sweep, RunRecord, Sweep};
 
 /// An aggressive tuning that seals and merges constantly, so the tests
 /// exercise real background traffic rather than an idle memtable.
@@ -30,13 +30,20 @@ fn quick_grid(store: StoreKind, compaction: CompactionConfig) -> Sweep {
     })
 }
 
+fn records(sweep: Sweep, threads: usize) -> Vec<RunRecord> {
+    run_sweep("lsm", sweep, threads)
+        .into_iter()
+        .map(|t| t.record)
+        .collect()
+}
+
 /// Background compaction events ride the same deterministic event queue
 /// as the protocol: the 25-model grid with the LSM backend (and constant
 /// seal/merge churn) must serialize byte-identically at any `--threads`.
 #[test]
 fn lsm_grid25_is_bit_identical_at_any_thread_count() {
-    let sequential = run_sweep(quick_grid(StoreKind::Lsm, storm()), 1);
-    let parallel = run_sweep(quick_grid(StoreKind::Lsm, storm()), 4);
+    let sequential = records(quick_grid(StoreKind::Lsm, storm()), 1);
+    let parallel = records(quick_grid(StoreKind::Lsm, storm()), 4);
     assert_eq!(sequential, parallel);
     let seq_json: Vec<String> = sequential.iter().map(record_to_json).collect();
     let par_json: Vec<String> = parallel.iter().map(record_to_json).collect();
@@ -53,8 +60,8 @@ fn lsm_grid25_is_bit_identical_at_any_thread_count() {
 #[test]
 fn non_lsm_runs_are_inert_to_compaction_tuning() {
     for store in StoreKind::ALL {
-        let default_cfg = run_sweep(quick_grid(store, CompactionConfig::default()), 4);
-        let stormy_cfg = run_sweep(quick_grid(store, storm()), 4);
+        let default_cfg = records(quick_grid(store, CompactionConfig::default()), 4);
+        let stormy_cfg = records(quick_grid(store, storm()), 4);
         let a: Vec<String> = default_cfg.iter().map(record_to_json).collect();
         let b: Vec<String> = stormy_cfg.iter().map(record_to_json).collect();
         assert_eq!(a, b, "{store}: compaction tuning leaked into a non-LSM run");

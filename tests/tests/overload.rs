@@ -5,7 +5,7 @@
 use ddp_core::{
     ClusterConfig, Consistency, DdpModel, OpenLoopPlan, Persistency, RunReport, Simulation,
 };
-use ddp_harness::{run_sweep_named, Sweep};
+use ddp_harness::{run_sweep, RunRecord, Sweep};
 use ddp_sim::Duration;
 
 fn open_cfg(model: DdpModel, offered: f64) -> ClusterConfig {
@@ -18,11 +18,14 @@ fn open_cfg(model: DdpModel, offered: f64) -> ClusterConfig {
 #[test]
 fn open_loop_grid_is_bit_identical_across_thread_counts() {
     let sweep = |threads| {
-        run_sweep_named(
+        run_sweep(
             "overload-determinism",
             Sweep::grid25(|m| open_cfg(m, 2_000_000.0)),
             threads,
         )
+        .into_iter()
+        .map(|t| t.record)
+        .collect::<Vec<RunRecord>>()
     };
     let serial = sweep(1);
     let parallel = sweep(4);

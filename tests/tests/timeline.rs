@@ -7,7 +7,7 @@
 use ddp_core::{
     ClusterConfig, DdpModel, OpenLoopPlan, Simulation, TimelineDump, TimelineWindow, TraceConfig,
 };
-use ddp_harness::{run_sweep_instrumented, timeline_end_to_json, timeline_window_to_json, Sweep};
+use ddp_harness::{run_sweep, timeline_end_to_json, timeline_window_to_json, Sweep};
 use ddp_sim::Duration;
 
 fn quick_cfg(model: DdpModel) -> ClusterConfig {
@@ -124,12 +124,13 @@ fn open_loop_flow_counters_sum_to_run_totals() {
 #[test]
 fn timeline_streams_are_bit_identical_across_thread_counts() {
     let sweep = || Sweep::grid25(|m| timed(quick_cfg(m)));
-    let serial = run_sweep_instrumented("timeline-seq", sweep(), 1);
-    let parallel = run_sweep_instrumented("timeline-par", sweep(), 4);
+    let serial = run_sweep("timeline-seq", sweep(), 1);
+    let parallel = run_sweep("timeline-par", sweep(), 4);
     assert_eq!(serial.len(), parallel.len());
-    for ((seq_rec, _, seq_tl), (par_rec, _, par_tl)) in serial.iter().zip(&parallel) {
+    for (seq, par) in serial.iter().zip(&parallel) {
+        let (seq_rec, par_rec) = (&seq.record, &par.record);
         assert_eq!(seq_rec, par_rec);
-        let (seq_tl, par_tl) = (seq_tl.as_ref().unwrap(), par_tl.as_ref().unwrap());
+        let (seq_tl, par_tl) = (&seq.timelines[0], &par.timelines[0]);
         assert_eq!(seq_tl.windows.len(), par_tl.windows.len());
         // The serialized stream matches byte for byte, window by window.
         for (k, (a, b)) in seq_tl.windows.iter().zip(&par_tl.windows).enumerate() {

@@ -5,7 +5,7 @@
 //! lifecycle the paper's argument is built on.
 
 use ddp_core::{ClusterConfig, DdpModel, Simulation, TraceConfig, TraceEventKind};
-use ddp_harness::{run_sweep_traced, trace_event_to_json, Sweep};
+use ddp_harness::{run_sweep, trace_event_to_json, Sweep};
 use ddp_sim::Duration;
 
 fn quick_cfg(model: DdpModel) -> ClusterConfig {
@@ -34,15 +34,16 @@ fn traced_and_untraced_runs_report_byte_identical_summaries() {
 #[test]
 fn trace_streams_are_bit_identical_across_thread_counts() {
     let sweep = || Sweep::grid25(|m| traced(quick_cfg(m)));
-    let sequential = run_sweep_traced("trace-seq", sweep(), 1);
-    let parallel = run_sweep_traced("trace-par", sweep(), 4);
+    let sequential = run_sweep("trace-seq", sweep(), 1);
+    let parallel = run_sweep("trace-par", sweep(), 4);
     assert_eq!(sequential.len(), parallel.len());
-    for ((seq_rec, seq_dump), (par_rec, par_dump)) in sequential.iter().zip(&parallel) {
+    for (seq, par) in sequential.iter().zip(&parallel) {
+        let (seq_rec, par_rec) = (&seq.record, &par.record);
         assert_eq!(seq_rec, par_rec);
         // TraceDump is Eq: every record, in order, including drop counts.
-        assert_eq!(seq_dump, par_dump, "{} trace diverged", seq_rec.model);
+        assert_eq!(seq.traces, par.traces, "{} trace diverged", seq_rec.model);
         // And the serialized stream matches byte for byte.
-        let (seq_dump, par_dump) = (seq_dump.as_ref().unwrap(), par_dump.as_ref().unwrap());
+        let (seq_dump, par_dump) = (&seq.traces[0], &par.traces[0]);
         for (a, b) in seq_dump.events.iter().zip(&par_dump.events) {
             assert_eq!(
                 trace_event_to_json(seq_rec.index, a),
