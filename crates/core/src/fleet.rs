@@ -268,6 +268,19 @@ mod tests {
     }
 
     #[test]
+    fn one_shard_fleet_matches_solo_simulation() {
+        // An explicit one-shard config, whatever its placement, is the solo
+        // run: same summary field for field, and no per-shard breakdown.
+        let cfg = quick_cfg();
+        let solo = Simulation::new(cfg.clone()).run();
+        for placement in [Placement::Hash, Placement::Range] {
+            let fleet = Simulation::new(cfg.clone().with_shards(1).with_placement(placement)).run();
+            assert_eq!(fleet.summary, solo.summary, "placement {placement:?}");
+            assert!(fleet.shards.is_none());
+        }
+    }
+
+    #[test]
     fn shards_partition_the_fleet_totals() {
         let mut cfg = quick_cfg();
         cfg.clients = 103; // deliberately not divisible

@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use ddp_core::{
     ClusterConfig, Consistency, DdpModel, OpenLoopPlan, Persistency, Placement, Simulation,
 };
-use ddp_harness::{run_sweep, Harness, HarnessArgs, Sweep};
+use ddp_harness::{run_sweep, Harness, HarnessArgs, RunRecord, Sweep};
 use ddp_sim::Duration;
 
 fn small_cfg(model: DdpModel) -> ClusterConfig {
@@ -16,6 +16,34 @@ fn small_cfg(model: DdpModel) -> ClusterConfig {
     cfg.warmup_requests = 50;
     cfg.measured_requests = 600;
     cfg
+}
+
+/// `--shards 1` must be the degenerate case: over the whole 25-model grid
+/// a one-shard trial (under either placement) run through the executor
+/// yields the record of a solo simulation built and run directly, field
+/// for field (both sides run the same event sequence, so `PartialEq` over
+/// the full record is exact, not approximate).
+#[test]
+fn one_shard_fleet_matches_solo_grid() {
+    let mut sweep = Sweep::new();
+    for model in DdpModel::all() {
+        for placement in [Placement::Hash, Placement::Range] {
+            let cfg = small_cfg(model).with_shards(1).with_placement(placement);
+            sweep.push(format!("{model} S=1 {}", placement.name()), cfg);
+        }
+    }
+    let outputs = run_sweep("one-shard-grid", sweep, 2);
+    assert_eq!(outputs.len(), 50);
+    for (i, out) in outputs.iter().enumerate() {
+        let model = out.record.model;
+        let mut solo = Simulation::new(small_cfg(model));
+        let expected = RunRecord::from_simulation(i, out.record.label.clone(), &mut solo);
+        assert_eq!(
+            out.record, expected,
+            "model {model} diverged between 1-shard trial and solo run"
+        );
+        assert!(out.record.shards.is_none());
+    }
 }
 
 /// Sharded sweeps honour the executor determinism contract: records over
