@@ -1,17 +1,6 @@
 //! Cross-file invariant checks: contracts that span crates and therefore
 //! cannot be expressed as a single-file lint.
 //!
-//! * **summary-schema** — every field of `RunSummary`
-//!   (`crates/core/src/stats.rs`) and `RunCounters`
-//!   (`crates/harness/src/record.rs`) must be exported by name from
-//!   `record_fields` (`crates/harness/src/fields.rs`). Struct-typed
-//!   fields are flattened through [`FLATTEN`] (`phase: PhaseBreakdown` →
-//!   `phase_service_ns`, ...). Deleting a serialized field — or adding a
-//!   summary field and forgetting the serializer — fails the audit.
-//! * **timeline-schema** — every public field of `TimelineWindow`
-//!   (`crates/trace/src/timeline.rs`) must be exported by name from
-//!   `timeline_fields` (`crates/harness/src/timeline.rs`), so the
-//!   `--timeline` JSON-lines stream cannot silently drop a window column.
 //! * **trace-discriminants** — `TraceEventKind`
 //!   (`crates/trace/src/record.rs`) must give every variant an explicit,
 //!   unique discriminant, because trace consumers persist those numbers.
@@ -24,264 +13,20 @@
 //! file is in the audited set, so fixture tests can exercise one
 //! invariant in isolation.
 
-use crate::lexer::{lex, Lexed, TokKind};
+use crate::lexer::{lex, TokKind};
 use crate::lints::Finding;
 use crate::source::SourceFile;
 
 /// Anchor paths (suffix-matched so fixtures can use the same shapes).
-const STATS_RS: &str = "crates/core/src/stats.rs";
-const RECORD_RS: &str = "crates/harness/src/record.rs";
-const FIELDS_RS: &str = "crates/harness/src/fields.rs";
 const TRACE_RECORD_RS: &str = "crates/trace/src/record.rs";
-const TIMELINE_RS: &str = "crates/trace/src/timeline.rs";
-const HARNESS_TIMELINE_RS: &str = "crates/harness/src/timeline.rs";
 const CI_YML: &str = ".github/workflows/ci.yml";
 const BENCH_BIN_DIR: &str = "crates/bench/src/bin/";
-
-/// Struct-typed summary fields flattened into prefixed scalar columns:
-/// `(type name, source file of the struct, column prefix)`.
-const FLATTEN: &[(&str, &str, &str)] = &[("PhaseBreakdown", "crates/trace/src/phase.rs", "phase_")];
-
-/// One parsed struct field.
-#[derive(Clone, Debug)]
-struct Field {
-    name: String,
-    type_head: String,
-    line: u32,
-}
 
 /// Finds a file by exact path or suffix.
 fn file<'a>(files: &'a [SourceFile], path: &str) -> Option<&'a SourceFile> {
     files
         .iter()
         .find(|f| f.path == path || f.path.ends_with(path))
-}
-
-/// Parses the `pub` fields of `struct name { ... }` out of a token stream.
-fn struct_fields(lexed: &Lexed, name: &str) -> Option<Vec<Field>> {
-    let toks = &lexed.tokens;
-    let start = toks
-        .windows(2)
-        .position(|w| w[0].kind == TokKind::Ident && w[0].text == "struct" && w[1].text == name)?;
-    // Advance to the opening brace of the struct body.
-    let mut j = start + 2;
-    while toks.get(j).is_some_and(|t| t.text != "{") {
-        j += 1;
-    }
-    j += 1;
-    let mut fields = Vec::new();
-    let mut depth = 1usize;
-    while depth > 0 {
-        let t = toks.get(j)?;
-        match t.text.as_str() {
-            "{" => {
-                depth += 1;
-                j += 1;
-            }
-            "}" => {
-                depth -= 1;
-                j += 1;
-            }
-            // Skip attribute groups `#[...]` wholesale.
-            "#" if toks.get(j + 1).is_some_and(|t| t.text == "[") => {
-                let mut bd = 0usize;
-                j += 1;
-                loop {
-                    let t = toks.get(j)?;
-                    match t.text.as_str() {
-                        "[" => bd += 1,
-                        "]" => {
-                            bd -= 1;
-                            if bd == 0 {
-                                j += 1;
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-            }
-            "pub"
-                if depth == 1
-                    && toks.get(j + 1).is_some_and(|t| t.kind == TokKind::Ident)
-                    && toks.get(j + 2).is_some_and(|t| t.text == ":") =>
-            {
-                let fname = &toks[j + 1];
-                j += 3;
-                // The type: record its first identifier, then skip to the
-                // field-separating comma at bracket depth 0.
-                let mut type_head = String::new();
-                let mut td = 0usize;
-                while let Some(t) = toks.get(j) {
-                    match t.text.as_str() {
-                        "(" | "<" | "[" | "{" => td += 1,
-                        ")" | ">" | "]" | "}" if td > 0 => td -= 1,
-                        "}" => break,
-                        "," if td == 0 => break,
-                        _ => {
-                            if type_head.is_empty() && t.kind == TokKind::Ident {
-                                type_head = t.text.clone();
-                            }
-                        }
-                    }
-                    j += 1;
-                }
-                fields.push(Field {
-                    name: fname.text.clone(),
-                    type_head,
-                    line: fname.line,
-                });
-            }
-            _ => j += 1,
-        }
-    }
-    Some(fields)
-}
-
-/// Collects the string literals inside the body of `fn name`.
-fn fn_body_strings(lexed: &Lexed, name: &str) -> Option<Vec<String>> {
-    let toks = &lexed.tokens;
-    let start = toks
-        .windows(2)
-        .position(|w| w[0].kind == TokKind::Ident && w[0].text == "fn" && w[1].text == name)?;
-    let mut j = start + 2;
-    while toks.get(j).is_some_and(|t| t.text != "{") {
-        j += 1;
-    }
-    j += 1;
-    let mut depth = 1usize;
-    let mut strings = Vec::new();
-    while depth > 0 {
-        let t = toks.get(j)?;
-        match t.text.as_str() {
-            "{" => depth += 1,
-            "}" => depth -= 1,
-            _ => {
-                if t.kind == TokKind::Str {
-                    // Strip plain-string delimiters; lint names are plain.
-                    let body = t.text.trim_matches('"');
-                    strings.push(body.to_string());
-                }
-            }
-        }
-        j += 1;
-    }
-    Some(strings)
-}
-
-/// The summary-schema check.
-fn summary_schema(files: &[SourceFile], findings: &mut Vec<Finding>) {
-    let Some(fields_rs) = file(files, FIELDS_RS) else {
-        return;
-    };
-    let Some(exported) = fn_body_strings(&lex(&fields_rs.text), "record_fields") else {
-        findings.push(Finding {
-            path: fields_rs.path.clone(),
-            line: 1,
-            lint: "summary-schema",
-            message: "fn record_fields not found".to_string(),
-        });
-        return;
-    };
-
-    let mut require = |source: &SourceFile, struct_name: &str| {
-        let Some(fields) = struct_fields(&lex(&source.text), struct_name) else {
-            findings.push(Finding {
-                path: source.path.clone(),
-                line: 1,
-                lint: "summary-schema",
-                message: format!("struct {struct_name} not found"),
-            });
-            return;
-        };
-        for fld in fields {
-            if let Some((_, flat_file, prefix)) =
-                FLATTEN.iter().find(|(ty, _, _)| *ty == fld.type_head)
-            {
-                let Some(flat_src) = file(files, flat_file) else {
-                    continue;
-                };
-                let Some(flat_fields) = struct_fields(&lex(&flat_src.text), &fld.type_head) else {
-                    continue;
-                };
-                for sub in flat_fields {
-                    let col = format!("{prefix}{}", sub.name);
-                    if !exported.iter().any(|e| e == &col) {
-                        findings.push(Finding {
-                            path: source.path.clone(),
-                            line: fld.line,
-                            lint: "summary-schema",
-                            message: format!(
-                                "{struct_name}.{}.{} is not exported by record_fields (expected column `{col}`)",
-                                fld.name, sub.name
-                            ),
-                        });
-                    }
-                }
-            } else if !exported.iter().any(|e| e == &fld.name) {
-                findings.push(Finding {
-                    path: source.path.clone(),
-                    line: fld.line,
-                    lint: "summary-schema",
-                    message: format!(
-                        "{struct_name}.{} is not exported by record_fields",
-                        fld.name
-                    ),
-                });
-            }
-        }
-    };
-
-    if let Some(stats) = file(files, STATS_RS) {
-        require(stats, "RunSummary");
-    }
-    if let Some(record) = file(files, RECORD_RS) {
-        require(record, "RunCounters");
-    }
-}
-
-/// The timeline-schema check: every public `TimelineWindow` field must be
-/// a column of `timeline_fields` (the private lag histogram is exported
-/// through its accessors and is invisible to the pub-field parse).
-fn timeline_schema(files: &[SourceFile], findings: &mut Vec<Finding>) {
-    let Some(harness_rs) = file(files, HARNESS_TIMELINE_RS) else {
-        return;
-    };
-    let Some(exported) = fn_body_strings(&lex(&harness_rs.text), "timeline_fields") else {
-        findings.push(Finding {
-            path: harness_rs.path.clone(),
-            line: 1,
-            lint: "timeline-schema",
-            message: "fn timeline_fields not found".to_string(),
-        });
-        return;
-    };
-    let Some(window_rs) = file(files, TIMELINE_RS) else {
-        return;
-    };
-    let Some(fields) = struct_fields(&lex(&window_rs.text), "TimelineWindow") else {
-        findings.push(Finding {
-            path: window_rs.path.clone(),
-            line: 1,
-            lint: "timeline-schema",
-            message: "struct TimelineWindow not found".to_string(),
-        });
-        return;
-    };
-    for fld in fields {
-        if !exported.iter().any(|e| e == &fld.name) {
-            findings.push(Finding {
-                path: window_rs.path.clone(),
-                line: fld.line,
-                lint: "timeline-schema",
-                message: format!(
-                    "TimelineWindow.{} is not exported by timeline_fields",
-                    fld.name
-                ),
-            });
-        }
-    }
 }
 
 /// The trace-discriminants check.
@@ -416,8 +161,6 @@ fn bench_ci_coverage(files: &[SourceFile], findings: &mut Vec<Finding>) {
 #[must_use]
 pub fn check(files: &[SourceFile]) -> Vec<Finding> {
     let mut findings = Vec::new();
-    summary_schema(files, &mut findings);
-    timeline_schema(files, &mut findings);
     trace_discriminants(files, &mut findings);
     bench_ci_coverage(files, &mut findings);
     findings
@@ -432,60 +175,6 @@ mod tests {
         assert!(word_occurs("run --bin fig6 --quick", "fig6"));
         assert!(!word_occurs("run --bin fig6_stores", "fig6"));
         assert!(word_occurs("for b in fig6 fig7; do", "fig7"));
-    }
-
-    #[test]
-    fn struct_fields_parse_nested_types() {
-        let src = "pub struct RunCounters { pub a: u64, pub crashes: Vec<(u8, u64)>, pub b: f64 }";
-        let fields = struct_fields(&lex(src), "RunCounters").unwrap();
-        let names: Vec<_> = fields.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, vec!["a", "crashes", "b"]);
-        assert_eq!(fields[1].type_head, "Vec");
-    }
-
-    #[test]
-    fn missing_summary_field_is_reported() {
-        let stats = SourceFile::new(
-            "crates/core/src/stats.rs",
-            "pub struct RunSummary { pub throughput: f64, pub extra: u64 }",
-        );
-        let fields = SourceFile::new(
-            "crates/harness/src/fields.rs",
-            r#"pub fn record_fields() { vec![("throughput", 1)]; }"#,
-        );
-        let findings = check(&[stats, fields]);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].lint, "summary-schema");
-        assert!(findings[0].message.contains("extra"), "{findings:?}");
-    }
-
-    #[test]
-    fn missing_timeline_column_is_reported() {
-        let window = SourceFile::new(
-            "crates/trace/src/timeline.rs",
-            "pub struct TimelineWindow { pub start_ns: u64, pub extra: u64, lag: Histogram }",
-        );
-        let fields = SourceFile::new(
-            "crates/harness/src/timeline.rs",
-            r#"pub fn timeline_fields() { vec![("start_ns", 1)]; }"#,
-        );
-        let findings = check(&[window, fields]);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert_eq!(findings[0].lint, "timeline-schema");
-        assert!(findings[0].message.contains("extra"), "{findings:?}");
-    }
-
-    #[test]
-    fn private_timeline_fields_need_no_column() {
-        let window = SourceFile::new(
-            "crates/trace/src/timeline.rs",
-            "pub struct TimelineWindow { pub start_ns: u64, lag: Histogram }",
-        );
-        let fields = SourceFile::new(
-            "crates/harness/src/timeline.rs",
-            r#"pub fn timeline_fields() { vec![("start_ns", 1)]; }"#,
-        );
-        assert!(check(&[window, fields]).is_empty());
     }
 
     #[test]

@@ -18,10 +18,11 @@
 //! 2. **Unsafe inventory** — every `unsafe` needs a `// SAFETY:`
 //!    justification; simulation crates forbid it outright, and every
 //!    crate root must carry `#![forbid(unsafe_code)]`.
-//! 3. **Cross-file invariants** — `RunSummary`/`RunCounters` fields must
-//!    all be exported by `record_fields` (no silent JSON/CSV schema
-//!    drift), `TraceEventKind` keeps explicit stable discriminants, and
-//!    every bench bin is smoke-covered in CI.
+//! 3. **Cross-file invariants** — `TraceEventKind` keeps explicit
+//!    stable discriminants, and every bench bin is smoke-covered in CI.
+//!    (Record and timeline columns need no lint: each is declared once,
+//!    next to its struct, and `tests/tests/schema.rs` checks them against
+//!    the compiler-derived field lists.)
 //!
 //! Run it three ways: `cargo run -p ddp-audit` (the CI gate),
 //! `cargo test` (the tier-1 wrapper in `tests/tests/audit.rs`), or as a

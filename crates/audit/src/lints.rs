@@ -104,16 +104,6 @@ pub const LINTS: &[LintSpec] = &[
         summary: "an audit:allow that suppresses nothing must be removed",
     },
     LintSpec {
-        name: "summary-schema",
-        escapable: false,
-        summary: "every RunSummary/RunCounters field must be exported by record_fields (no silent JSON/CSV schema drift)",
-    },
-    LintSpec {
-        name: "timeline-schema",
-        escapable: false,
-        summary: "every TimelineWindow field must be exported by timeline_fields (no silent timeline column drift)",
-    },
-    LintSpec {
         name: "trace-discriminants",
         escapable: false,
         summary: "TraceEventKind variants keep explicit, unique, stable discriminants",

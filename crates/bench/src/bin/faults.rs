@@ -63,7 +63,7 @@ fn main() {
                 ratio(lossy.summary.throughput, base.summary.throughput)
             );
         }
-        let worst = &row[stride - 1].counters;
+        let worst = &row[stride - 1].summary;
         println!(
             " {:>8} {:>8} {:>8} {:>8}",
             worst.messages_dropped,
@@ -79,7 +79,7 @@ fn main() {
     // from the part-1 baseline record instead.
     let mut crash_sweep = Sweep::new();
     for model in DdpModel::all() {
-        let run_ns = loss_records[model.grid_index() * stride].counters.run_ns() as f64;
+        let run_ns = loss_records[model.grid_index() * stride].summary.run_ns() as f64;
         let at = Duration::from_nanos((run_ns * 0.40) as u64);
         let down_for = Duration::from_nanos((run_ns * 0.25) as u64);
         crash_sweep.push(
@@ -100,7 +100,7 @@ fn main() {
     print_rule(6);
     for model in DdpModel::all() {
         let record = &crash_records[model.grid_index()];
-        let c = &record.counters;
+        let c = &record.summary;
         // One scheduled crash -> exactly one (node, time) pair each.
         let downtime_ns: u64 = c
             .crashes

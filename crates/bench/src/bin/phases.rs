@@ -31,18 +31,18 @@ fn main() {
     print_rule(8);
     let us = |ns: f64| ns / 1_000.0;
     for r in &records {
-        let p = &r.summary.phase;
+        let s = &r.summary;
         println!(
             "{:<28} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
             r.label,
-            us(p.service_ns),
-            us(p.queue_ns),
-            us(p.network_ns),
-            us(p.persist_stall_ns),
-            us(p.nvm_queue_ns),
-            us(p.read_stall_ns),
-            us(r.summary.vp_dp_lag_mean_ns),
-            us(r.summary.vp_dp_lag_p95_ns),
+            us(s.phase_service_ns),
+            us(s.phase_queue_ns),
+            us(s.phase_network_ns),
+            us(s.phase_persist_stall_ns),
+            us(s.phase_nvm_queue_ns),
+            us(s.phase_read_stall_ns),
+            us(s.vp_dp_lag_mean_ns),
+            us(s.vp_dp_lag_p95_ns),
         );
     }
     println!();

@@ -81,7 +81,7 @@ pub use protocol::{
 pub use recovery::{recover, RecoveredState, RecoveryPolicy};
 pub use recovery_time::{estimate_recovery, RecoveryEstimate};
 pub use replica::{KeyState, ReplicaStore};
-pub use stats::{RunStats, RunSummary};
+pub use stats::{FieldValue, RunStats, RunSummary};
 pub use traits_table::{Level, ModelTraits};
 
 // Re-exported so harnesses and tests can route sharded fleets without
@@ -95,6 +95,6 @@ pub use ddp_store::StoreKind;
 // Re-exported so harnesses and tests can configure and consume tracing
 // without depending on `ddp-trace` directly.
 pub use ddp_trace::{
-    PhaseAccum, PhaseBreakdown, StallCause, Timeline, TimelineDump, TimelineWindow, TraceConfig,
-    TraceDump, TraceEventKind, TraceRecord,
+    PhaseAccum, StallCause, Timeline, TimelineDump, TimelineWindow, TraceConfig, TraceDump,
+    TraceEventKind, TraceRecord,
 };

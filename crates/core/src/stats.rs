@@ -1,7 +1,7 @@
 //! Run statistics: everything Figures 6–9 and the §8 prose report.
 
 use ddp_sim::{Duration, Histogram, LevelGauge, SimTime};
-use ddp_trace::{PhaseAccum, PhaseBreakdown};
+use ddp_trace::PhaseAccum;
 
 /// Statistics gathered over the measured window of one simulated run.
 #[derive(Clone, Debug, Default)]
@@ -215,158 +215,220 @@ impl RunStats {
     }
 }
 
-/// A condensed, comparable summary of one run (what the figure harnesses
-/// print and normalize).
+/// One column value of a serialized run record.
 #[derive(Clone, Debug, PartialEq)]
-pub struct RunSummary {
+pub enum FieldValue<'a> {
+    /// An unsigned integer.
+    U64(u64),
+    /// A float (serialized as `null` in JSON when not finite).
+    F64(f64),
+    /// A string (escaped per output format).
+    Str(String),
+    /// A `(node, simulated ns)` event trace.
+    Pairs(&'a [(u8, u64)]),
+}
+
+/// The column form of a [`RunSummary`] field type.
+trait Column {
+    fn value(&self) -> FieldValue<'_>;
+}
+
+impl Column for u64 {
+    fn value(&self) -> FieldValue<'_> {
+        FieldValue::U64(*self)
+    }
+}
+
+impl Column for f64 {
+    fn value(&self) -> FieldValue<'_> {
+        FieldValue::F64(*self)
+    }
+}
+
+impl Column for Vec<(u8, u64)> {
+    fn value(&self) -> FieldValue<'_> {
+        FieldValue::Pairs(self)
+    }
+}
+
+/// Mean nanoseconds per operation; 0 when nothing happened.
+fn per_op(total: Duration, ops: u64) -> f64 {
+    if ops == 0 {
+        0.0
+    } else {
+        total.as_nanos() as f64 / ops as f64
+    }
+}
+
+/// Declares [`RunSummary`] from one table: each row is a field's doc
+/// comment, name, type, and the expression deriving it from the
+/// `&RunStats` named between the leading bars. The struct, [`RunSummary::from_stats`] and
+/// the [`RunSummary::fields`] column list all come from the same rows, so
+/// a metric cannot be declared without being derived and exported.
+macro_rules! run_summary {
+    (|$s:ident| $($(#[$doc:meta])* $name:ident: $ty:ty = $derive:expr,)*) => {
+        /// A condensed, comparable summary of one run: what the figure
+        /// harnesses print and normalize, and the metric columns of every
+        /// run record, in declaration order.
+        #[derive(Clone, Debug, PartialEq)]
+        pub struct RunSummary {
+            $($(#[$doc])* pub $name: $ty,)*
+        }
+
+        impl RunSummary {
+            /// Builds the summary from raw statistics.
+            #[must_use]
+            pub fn from_stats($s: &RunStats) -> Self {
+                RunSummary { $($name: $derive,)* }
+            }
+
+            /// The ordered `(name, value)` column list: every field, in
+            /// declaration order.
+            #[must_use]
+            pub fn fields(&self) -> Vec<(&'static str, FieldValue<'_>)> {
+                vec![$((stringify!($name), self.$name.value()),)*]
+            }
+        }
+    };
+}
+
+run_summary! { |s|
     /// Requests per simulated second.
-    pub throughput: f64,
+    throughput: f64 = s.throughput(),
     /// Mean read latency in ns.
-    pub mean_read_ns: f64,
+    mean_read_ns: f64 = s.read_latency.mean().as_nanos() as f64,
     /// Mean write latency in ns.
-    pub mean_write_ns: f64,
+    mean_write_ns: f64 = s.write_latency.mean().as_nanos() as f64,
     /// Mean access (read + write) latency in ns.
-    pub mean_access_ns: f64,
+    mean_access_ns: f64 = s.access_latency.mean().as_nanos() as f64,
     /// Median read latency in ns.
-    pub p50_read_ns: f64,
+    p50_read_ns: f64 = s.read_latency.percentile(0.50).as_nanos() as f64,
     /// Median write latency in ns.
-    pub p50_write_ns: f64,
+    p50_write_ns: f64 = s.write_latency.percentile(0.50).as_nanos() as f64,
     /// 95th-percentile read latency in ns.
-    pub p95_read_ns: f64,
+    p95_read_ns: f64 = s.read_latency.percentile(0.95).as_nanos() as f64,
     /// 95th-percentile write latency in ns.
-    pub p95_write_ns: f64,
+    p95_write_ns: f64 = s.write_latency.percentile(0.95).as_nanos() as f64,
     /// 99th-percentile read latency in ns.
-    pub p99_read_ns: f64,
+    p99_read_ns: f64 = s.read_latency.percentile(0.99).as_nanos() as f64,
     /// 99th-percentile write latency in ns.
-    pub p99_write_ns: f64,
+    p99_write_ns: f64 = s.write_latency.percentile(0.99).as_nanos() as f64,
     /// 99.9th-percentile read latency in ns (the SLO-grade tail the
     /// overload sweeps watch diverge).
-    pub p999_read_ns: f64,
+    p999_read_ns: f64 = s.read_latency.percentile(0.999).as_nanos() as f64,
     /// 99.9th-percentile write latency in ns.
-    pub p999_write_ns: f64,
-    /// Bytes of network traffic per completed request.
-    pub traffic_bytes_per_req: f64,
+    p999_write_ns: f64 = s.write_latency.percentile(0.999).as_nanos() as f64,
+    /// Bytes of network traffic per completed request. An empty run
+    /// generated no traffic *and* served no requests: it reports 0, not
+    /// bytes against a phantom request.
+    traffic_bytes_per_req: f64 = if s.completed() == 0 {
+        0.0
+    } else {
+        s.network_bytes as f64 / s.completed() as f64
+    },
     /// Fraction of reads stalled on unpersisted writes.
-    pub read_persist_conflict_rate: f64,
+    read_persist_conflict_rate: f64 = s.read_persist_conflict_rate(),
     /// Fraction of transactions squashed.
-    pub txn_conflict_rate: f64,
+    txn_conflict_rate: f64 = s.txn_conflict_rate(),
     /// Time-weighted mean of buffered causal writes.
-    pub mean_buffered_writes: f64,
+    mean_buffered_writes: f64 = s.causal_buffered.time_weighted_mean(),
     /// Peak buffered causal writes.
-    pub max_buffered_writes: u64,
-    /// Messages lost in the fabric or addressed to a crashed node
-    /// (zero on the fault-free path).
-    pub messages_dropped: u64,
-    /// Messages the fabric delivered twice (zero on the fault-free path).
-    pub messages_duplicated: u64,
-    /// Protocol messages re-sent after ACK timeouts (zero on the fault-free
-    /// path).
-    pub retransmits: u64,
-    /// Client operations abandoned by the operation timeout (zero on the
-    /// fault-free path).
-    pub client_timeouts: u64,
+    max_buffered_writes: u64 = s.causal_buffered.max(),
     /// Mean VP→DP durability lag in ns (how long the average write was
     /// readable before it could survive failure).
-    pub vp_dp_lag_mean_ns: f64,
+    vp_dp_lag_mean_ns: f64 = s.vp_dp_lag.mean().as_nanos() as f64,
     /// 95th-percentile VP→DP durability lag in ns.
-    pub vp_dp_lag_p95_ns: f64,
+    vp_dp_lag_p95_ns: f64 = s.vp_dp_lag.percentile(0.95).as_nanos() as f64,
     /// Peak VP→DP durability lag in ns.
-    pub vp_dp_lag_max_ns: f64,
-    /// Per-op mean phase attribution (where the nanoseconds went).
-    pub phase: PhaseBreakdown,
+    vp_dp_lag_max_ns: f64 = s.vp_dp_lag.max().as_nanos() as f64,
+    /// Mean service (link + admission + execution) ns per completed write.
+    phase_service_ns: f64 = per_op(s.phase.write_service, s.phase.writes),
+    /// Mean same-key serialization wait ns per completed write.
+    phase_queue_ns: f64 = per_op(s.phase.write_queue, s.phase.writes),
+    /// Mean invalidation round-trip ns per completed write.
+    phase_network_ns: f64 = per_op(s.phase.write_network, s.phase.writes),
+    /// Mean durability wait ns per completed write.
+    phase_persist_stall_ns: f64 = per_op(s.phase.write_persist_stall, s.phase.writes),
+    /// Mean NVM bank queue wait ns per issued persist.
+    phase_nvm_queue_ns: f64 = per_op(s.nvm_queue_wait, s.persists_issued),
+    /// Mean stall ns per completed read (consistency + persist causes).
+    phase_read_stall_ns: f64 = per_op(
+        s.phase.read_stall_consistency + s.phase.read_stall_persist,
+        s.reads_completed,
+    ),
+    /// Messages lost in the fabric or addressed to a crashed node
+    /// (zero on the fault-free path, like every fault counter below).
+    messages_dropped: u64 = s.messages_dropped,
+    /// Messages the fabric delivered twice.
+    messages_duplicated: u64 = s.messages_duplicated,
+    /// Protocol messages re-sent after ACK timeouts.
+    retransmits: u64 = s.retransmits,
+    /// Client operations abandoned by the operation timeout.
+    client_timeouts: u64 = s.client_timeouts,
+    /// Duplicate protocol messages suppressed by idempotence guards.
+    duplicates_suppressed: u64 = s.duplicates_suppressed,
+    /// Follower transient states cleared by the lease timeout.
+    transient_expirations: u64 = s.transient_expirations,
+    /// Keys a rejoining node caught up from its peers.
+    catchup_keys: u64 = s.catchup_keys,
+    /// Transactions started.
+    txns_started: u64 = s.txns_started,
+    /// Transactions squashed by a conflict.
+    txns_conflicted: u64 = s.txns_conflicted,
+    /// Transactions committed.
+    txns_committed: u64 = s.txns_committed,
+    /// Crash trace over the whole run: `(node, simulated ns)`.
+    crashes: Vec<(u8, u64)> = s.crashes.iter().map(|&(n, t)| (n, t.as_nanos())).collect(),
+    /// Rejoin trace over the whole run: `(node, simulated ns)`.
+    rejoins: Vec<(u8, u64)> = s.rejoins.iter().map(|&(n, t)| (n, t.as_nanos())).collect(),
+    /// Simulated ns at which the measured window opened (warm-up end).
+    window_start_ns: u64 = s.window_start.as_nanos(),
+    /// Simulated ns the measured window covered.
+    measured_ns: u64 = s.measured_time.as_nanos(),
     /// Measured offered load, arrivals per second (zero on closed loops,
     /// like every open-loop field below).
-    pub offered_per_sec: f64,
+    offered_per_sec: f64 = s.offered_per_sec(),
     /// Fraction of arrivals shed.
-    pub shed_rate: f64,
+    shed_rate: f64 = s.shed_rate(),
+    /// Open-loop arrivals dispatched inside the measured window.
+    ol_arrivals: u64 = s.ol_arrivals,
+    /// Admission rejections (full queue or crashed target node).
+    ol_rejections: u64 = s.ol_rejections,
     /// Client-side retries scheduled after admission rejections.
-    pub ol_retries: u64,
+    ol_retries: u64 = s.ol_retries,
     /// Arrivals shed after exhausting their retry budget.
-    pub ol_shed: u64,
+    ol_shed: u64 = s.ol_shed,
+    /// Arrivals admitted to a session slot inside the measured window.
+    admissions: u64 = s.admissions,
     /// Time-weighted mean admission-queue depth.
-    pub mean_admission_queue: f64,
+    mean_admission_queue: f64 = s.admission_queue.time_weighted_mean(),
     /// Peak admission-queue depth.
-    pub max_admission_queue: u64,
+    max_admission_queue: u64 = s.admission_queue.max(),
     /// Mean queue + retry wait of admitted sessions, in ns.
-    pub mean_admission_wait_ns: f64,
+    mean_admission_wait_ns: f64 = per_op(s.admission_wait, s.admissions),
     /// Time-weighted mean NVM bank-queue depth across all nodes.
-    pub mean_nvm_bank_queue: f64,
+    mean_nvm_bank_queue: f64 = s.nvm_bank_queue.time_weighted_mean(),
     /// Peak NVM bank-queue depth across all nodes.
-    pub max_nvm_bank_queue: u64,
+    max_nvm_bank_queue: u64 = s.nvm_bank_queue.max(),
     /// Memtable seals scheduled by the LSM store tier (zero unless the
     /// store is `StoreKind::Lsm`, like every compaction field below).
-    pub lsm_seals: u64,
+    lsm_seals: u64 = s.lsm_seals,
     /// Level merges scheduled by the LSM store tier.
-    pub lsm_merges: u64,
+    lsm_merges: u64 = s.lsm_merges,
     /// NVM bytes written by background compaction.
-    pub compaction_bytes: u64,
+    compaction_bytes: u64 = s.compaction_bytes,
     /// Time-weighted mean in-flight background compactions.
-    pub mean_active_compactions: f64,
+    mean_active_compactions: f64 = s.compactions_active.time_weighted_mean(),
     /// Peak in-flight background compactions.
-    pub max_active_compactions: u64,
+    max_active_compactions: u64 = s.compactions_active.max(),
 }
 
 impl RunSummary {
-    /// Builds the summary from raw statistics.
+    /// Total simulated run length (warm-up + measured window) in ns — the
+    /// anchor the fault sweep scales its crash schedules to.
     #[must_use]
-    pub fn from_stats(stats: &RunStats) -> Self {
-        let completed = stats.completed();
-        RunSummary {
-            throughput: stats.throughput(),
-            mean_read_ns: stats.read_latency.mean().as_nanos() as f64,
-            mean_write_ns: stats.write_latency.mean().as_nanos() as f64,
-            mean_access_ns: stats.access_latency.mean().as_nanos() as f64,
-            p50_read_ns: stats.read_latency.percentile(0.50).as_nanos() as f64,
-            p50_write_ns: stats.write_latency.percentile(0.50).as_nanos() as f64,
-            p95_read_ns: stats.read_latency.percentile(0.95).as_nanos() as f64,
-            p95_write_ns: stats.write_latency.percentile(0.95).as_nanos() as f64,
-            p99_read_ns: stats.read_latency.percentile(0.99).as_nanos() as f64,
-            p99_write_ns: stats.write_latency.percentile(0.99).as_nanos() as f64,
-            p999_read_ns: stats.read_latency.percentile(0.999).as_nanos() as f64,
-            p999_write_ns: stats.write_latency.percentile(0.999).as_nanos() as f64,
-            // An empty run generated no traffic *and* served no requests:
-            // report 0, not bytes against a phantom request.
-            traffic_bytes_per_req: if completed == 0 {
-                0.0
-            } else {
-                stats.network_bytes as f64 / completed as f64
-            },
-            read_persist_conflict_rate: stats.read_persist_conflict_rate(),
-            txn_conflict_rate: stats.txn_conflict_rate(),
-            mean_buffered_writes: stats.causal_buffered.time_weighted_mean(),
-            max_buffered_writes: stats.causal_buffered.max(),
-            messages_dropped: stats.messages_dropped,
-            messages_duplicated: stats.messages_duplicated,
-            retransmits: stats.retransmits,
-            client_timeouts: stats.client_timeouts,
-            vp_dp_lag_mean_ns: stats.vp_dp_lag.mean().as_nanos() as f64,
-            vp_dp_lag_p95_ns: stats.vp_dp_lag.percentile(0.95).as_nanos() as f64,
-            vp_dp_lag_max_ns: stats.vp_dp_lag.max().as_nanos() as f64,
-            phase: PhaseBreakdown::from_accum(
-                &stats.phase,
-                stats.nvm_queue_wait,
-                stats.persists_issued,
-                stats.reads_completed,
-            ),
-            offered_per_sec: stats.offered_per_sec(),
-            shed_rate: stats.shed_rate(),
-            ol_retries: stats.ol_retries,
-            ol_shed: stats.ol_shed,
-            mean_admission_queue: stats.admission_queue.time_weighted_mean(),
-            max_admission_queue: stats.admission_queue.max(),
-            mean_admission_wait_ns: if stats.admissions == 0 {
-                0.0
-            } else {
-                stats.admission_wait.as_nanos() as f64 / stats.admissions as f64
-            },
-            mean_nvm_bank_queue: stats.nvm_bank_queue.time_weighted_mean(),
-            max_nvm_bank_queue: stats.nvm_bank_queue.max(),
-            lsm_seals: stats.lsm_seals,
-            lsm_merges: stats.lsm_merges,
-            compaction_bytes: stats.compaction_bytes,
-            mean_active_compactions: stats.compactions_active.time_weighted_mean(),
-            max_active_compactions: stats.compactions_active.max(),
-        }
+    pub fn run_ns(&self) -> u64 {
+        self.window_start_ns + self.measured_ns
     }
 }
 
@@ -598,8 +660,50 @@ mod tests {
         assert!((sum.vp_dp_lag_mean_ns - 2_000.0).abs() < 60.0);
         assert!(sum.vp_dp_lag_p95_ns >= sum.vp_dp_lag_mean_ns);
         assert!(sum.vp_dp_lag_max_ns >= sum.vp_dp_lag_p95_ns);
-        assert!((sum.phase.service_ns - 100.0).abs() < 1e-9);
-        assert!((sum.phase.network_ns - 400.0).abs() < 1e-9);
-        assert!((sum.phase.nvm_queue_ns - 200.0).abs() < 1e-9);
+        assert!((sum.phase_service_ns - 100.0).abs() < 1e-9);
+        assert!((sum.phase_network_ns - 400.0).abs() < 1e-9);
+        assert!((sum.phase_nvm_queue_ns - 200.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn empty_accum_breaks_down_to_zeroes() {
+        let sum = RunSummary::from_stats(&RunStats::default());
+        assert_eq!(sum.phase_service_ns, 0.0);
+        assert_eq!(sum.phase_queue_ns, 0.0);
+        assert_eq!(sum.phase_network_ns, 0.0);
+        assert_eq!(sum.phase_persist_stall_ns, 0.0);
+        assert_eq!(sum.phase_nvm_queue_ns, 0.0);
+        assert_eq!(sum.phase_read_stall_ns, 0.0);
+    }
+
+    #[test]
+    fn breakdown_divides_by_the_right_denominators() {
+        let mut s = RunStats {
+            nvm_queue_wait: Duration::from_nanos(900),
+            persists_issued: 3,
+            reads_completed: 4,
+            ..RunStats::default()
+        };
+        s.phase.record_write(
+            Duration::from_nanos(100),
+            Duration::from_nanos(20),
+            Duration::from_nanos(300),
+            Duration::from_nanos(60),
+        );
+        s.phase.record_write(
+            Duration::from_nanos(300),
+            Duration::ZERO,
+            Duration::from_nanos(500),
+            Duration::ZERO,
+        );
+        s.phase
+            .record_read_stall(Duration::from_nanos(40), Duration::from_nanos(80));
+        let sum = RunSummary::from_stats(&s);
+        assert!((sum.phase_service_ns - 200.0).abs() < 1e-12);
+        assert!((sum.phase_queue_ns - 10.0).abs() < 1e-12);
+        assert!((sum.phase_network_ns - 400.0).abs() < 1e-12);
+        assert!((sum.phase_persist_stall_ns - 30.0).abs() < 1e-12);
+        assert!((sum.phase_nvm_queue_ns - 300.0).abs() < 1e-12);
+        assert!((sum.phase_read_stall_ns - 30.0).abs() < 1e-12);
     }
 }

@@ -7,7 +7,8 @@
 //!   the host's available parallelism);
 //! * `--json PATH` — append every run record to `PATH` as JSON lines;
 //! * `--csv PATH` — the same records as CSV (same field list by
-//!   construction: both serializers walk [`record_fields`]);
+//!   construction: both serializers walk [`record_fields`], the identity
+//!   columns plus the `RunSummary` table's columns);
 //! * `--trace PATH` — enable event tracing and write the per-trial event
 //!   streams to `PATH` as JSON lines;
 //! * `--trace-sample NS` — with `--trace`, also emit gauge samples every

@@ -12,7 +12,9 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use crate::fields::{record_fields, FieldValue};
+use ddp_core::FieldValue;
+
+use crate::fields::record_fields;
 use crate::json::{json_events, json_f64};
 use crate::record::RunRecord;
 

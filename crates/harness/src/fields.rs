@@ -1,105 +1,31 @@
 //! The shared run-record field schema.
 //!
 //! `--json` and `--csv` must never drift apart, so neither serializer
-//! owns a field list: both walk the one produced by [`record_fields`].
-//! Adding a field here adds it to the JSON object *and* the CSV header in
-//! the same position; forgetting one output format is impossible by
-//! construction.
+//! owns a field list: both walk the one produced by [`record_fields`] —
+//! the four identity columns, then [`RunSummary::fields`], which the
+//! `RunSummary` table in `ddp-core` generates from the same rows that
+//! declare and derive each metric. A metric added there is a column of
+//! both formats, in the same position, by construction.
 //!
-//! The converse — adding a `RunSummary`/`RunCounters` field and
-//! forgetting to export it here — is caught statically by the
-//! `summary-schema` invariant in `ddp-audit`: every field of those
-//! structs must appear by name in this function (struct-typed fields
-//! flattened with a prefix, e.g. `phase.service_ns` → `phase_service_ns`).
+//! [`RunSummary::fields`]: ddp_core::RunSummary::fields
+
+use ddp_core::FieldValue;
 
 use crate::record::RunRecord;
-
-/// One field value of a serialized run record.
-#[derive(Clone, Debug, PartialEq)]
-pub enum FieldValue<'a> {
-    /// An unsigned integer.
-    U64(u64),
-    /// A float (serialized as `null` in JSON when not finite).
-    F64(f64),
-    /// A string (escaped per output format).
-    Str(String),
-    /// A `(node, simulated ns)` event trace.
-    Pairs(&'a [(u8, u64)]),
-}
 
 /// The ordered `(name, value)` field list of one run record — the single
 /// schema both the JSON-lines and CSV writers serialize.
 #[must_use]
 pub fn record_fields(r: &RunRecord) -> Vec<(&'static str, FieldValue<'_>)> {
-    use FieldValue::{Pairs, Str, F64, U64};
-    let s = &r.summary;
-    let c = &r.counters;
-    vec![
+    use FieldValue::{Str, U64};
+    let mut fields = vec![
         ("index", U64(r.index as u64)),
         ("label", Str(r.label.clone())),
         ("consistency", Str(r.model.consistency.to_string())),
         ("persistency", Str(r.model.persistency.to_string())),
-        ("throughput", F64(s.throughput)),
-        ("mean_read_ns", F64(s.mean_read_ns)),
-        ("mean_write_ns", F64(s.mean_write_ns)),
-        ("mean_access_ns", F64(s.mean_access_ns)),
-        ("p50_read_ns", F64(s.p50_read_ns)),
-        ("p50_write_ns", F64(s.p50_write_ns)),
-        ("p95_read_ns", F64(s.p95_read_ns)),
-        ("p95_write_ns", F64(s.p95_write_ns)),
-        ("p99_read_ns", F64(s.p99_read_ns)),
-        ("p99_write_ns", F64(s.p99_write_ns)),
-        ("p999_read_ns", F64(s.p999_read_ns)),
-        ("p999_write_ns", F64(s.p999_write_ns)),
-        ("traffic_bytes_per_req", F64(s.traffic_bytes_per_req)),
-        (
-            "read_persist_conflict_rate",
-            F64(s.read_persist_conflict_rate),
-        ),
-        ("txn_conflict_rate", F64(s.txn_conflict_rate)),
-        ("mean_buffered_writes", F64(s.mean_buffered_writes)),
-        ("max_buffered_writes", U64(s.max_buffered_writes)),
-        ("vp_dp_lag_mean_ns", F64(s.vp_dp_lag_mean_ns)),
-        ("vp_dp_lag_p95_ns", F64(s.vp_dp_lag_p95_ns)),
-        ("vp_dp_lag_max_ns", F64(s.vp_dp_lag_max_ns)),
-        ("phase_service_ns", F64(s.phase.service_ns)),
-        ("phase_queue_ns", F64(s.phase.queue_ns)),
-        ("phase_network_ns", F64(s.phase.network_ns)),
-        ("phase_persist_stall_ns", F64(s.phase.persist_stall_ns)),
-        ("phase_nvm_queue_ns", F64(s.phase.nvm_queue_ns)),
-        ("phase_read_stall_ns", F64(s.phase.read_stall_ns)),
-        ("messages_dropped", U64(c.messages_dropped)),
-        ("messages_duplicated", U64(c.messages_duplicated)),
-        ("retransmits", U64(c.retransmits)),
-        ("client_timeouts", U64(c.client_timeouts)),
-        ("duplicates_suppressed", U64(c.duplicates_suppressed)),
-        ("transient_expirations", U64(c.transient_expirations)),
-        ("catchup_keys", U64(c.catchup_keys)),
-        ("txns_started", U64(c.txns_started)),
-        ("txns_conflicted", U64(c.txns_conflicted)),
-        ("txns_committed", U64(c.txns_committed)),
-        ("crashes", Pairs(&c.crashes)),
-        ("rejoins", Pairs(&c.rejoins)),
-        ("window_start_ns", U64(c.window_start_ns)),
-        ("measured_ns", U64(c.measured_ns)),
-        ("offered_per_sec", F64(s.offered_per_sec)),
-        ("shed_rate", F64(s.shed_rate)),
-        ("ol_arrivals", U64(c.ol_arrivals)),
-        ("ol_rejections", U64(c.ol_rejections)),
-        ("ol_retries", U64(s.ol_retries)),
-        ("ol_shed", U64(s.ol_shed)),
-        ("admissions", U64(c.admissions)),
-        ("mean_admission_queue", F64(s.mean_admission_queue)),
-        ("max_admission_queue", U64(s.max_admission_queue)),
-        ("mean_admission_wait_ns", F64(s.mean_admission_wait_ns)),
-        ("mean_nvm_bank_queue", F64(s.mean_nvm_bank_queue)),
-        ("max_nvm_bank_queue", U64(s.max_nvm_bank_queue)),
-        ("lsm_seals", U64(s.lsm_seals)),
-        ("lsm_merges", U64(s.lsm_merges)),
-        ("compaction_bytes", U64(s.compaction_bytes)),
-        ("mean_active_compactions", F64(s.mean_active_compactions)),
-        ("max_active_compactions", U64(s.max_active_compactions)),
-    ]
+    ];
+    fields.extend(r.summary.fields());
+    fields
 }
 
 #[cfg(test)]

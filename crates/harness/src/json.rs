@@ -13,7 +13,8 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use crate::fields::FieldValue;
+use ddp_core::FieldValue;
+
 use crate::record::RunRecord;
 
 /// Escapes a string for inclusion in a JSON string literal (RFC 8259):

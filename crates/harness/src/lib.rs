@@ -21,10 +21,11 @@
 //!    [`ratio`]/[`normalized`]) — a hand-rolled JSON-lines writer (the
 //!    build is offline; no serde) behind `--json PATH`, a CSV twin behind
 //!    `--csv PATH` that walks the same [`record_fields`] schema (the two
-//!    formats cannot drift), per-trial trace event streams behind
-//!    `--trace PATH` / `--trace-sample NS`, per-window timeline rows
-//!    behind `--timeline PATH` / `--window-ns NS`, plus the table helpers
-//!    every figure prints through.
+//!    formats cannot drift; the metric columns come from the one
+//!    `RunSummary` table in `ddp-core`), per-trial trace event streams
+//!    behind `--trace PATH` / `--trace-sample NS`, per-window timeline
+//!    rows behind `--timeline PATH` / `--window-ns NS`, plus the table
+//!    helpers every figure prints through.
 //!
 //! ```
 //! use ddp_core::{ClusterConfig, DdpModel};
@@ -64,15 +65,18 @@ pub mod trace;
 pub use args::{default_threads, HarnessArgs};
 pub use csv::{csv_header, escape_csv, record_to_csv, CsvWriter};
 pub use exec::{run_sweep, Harness, TrialOutput};
-pub use fields::{record_fields, FieldValue};
+pub use fields::record_fields;
 pub use json::{escape_json, json_f64, record_to_json, unescape_json, JsonLinesWriter, JsonObject};
 pub use progress::{available_threads, run_pool, Stopwatch};
-pub use record::{RunCounters, RunRecord};
+pub use record::RunRecord;
 pub use seeds::{aggregate_records, aggregate_to_json, replicate, reseed, SeedAggregate, SeedStat};
 pub use sweep::{ModelGrid, Sweep, Trial};
 pub use table::{bar, normalized, print_row, print_rule, ratio};
-pub use timeline::{timeline_end_to_json, timeline_fields, timeline_window_to_json};
+pub use timeline::{timeline_end_to_json, timeline_window_to_json};
 pub use trace::{trace_end_to_json, trace_event_to_json};
+
+// The record column value type, declared with `RunSummary` in `ddp-core`.
+pub use ddp_core::FieldValue;
 
 use ddp_core::{ClusterConfig, DdpModel, RunSummary, Simulation};
 

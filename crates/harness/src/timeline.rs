@@ -1,49 +1,15 @@
 //! JSON-lines serialization of timeline dumps (`--timeline PATH`).
 //!
 //! One `timeline_window` line per `(trial, window)`, plus one closing
-//! `timeline_end` line per trial. Like the run-record schema in
-//! [`crate::fields`], the window columns come from ONE ordered field list
-//! ([`timeline_fields`]) so the `timeline-schema` audit invariant can
-//! check that every public [`TimelineWindow`] field is exported. Windows
-//! are written in trial-then-window order and contain only simulation
-//! output, so the stream is byte-identical at any `--threads N`.
+//! `timeline_end` line per trial. The window columns are
+//! [`TimelineWindow::columns`], declared next to the struct they export.
+//! Windows are written in trial-then-window order and contain only
+//! simulation output, so the stream is byte-identical at any
+//! `--threads N`.
 
 use ddp_core::{TimelineDump, TimelineWindow};
 
-use crate::fields::FieldValue;
 use crate::json::JsonObject;
-
-/// The ordered `(name, value)` column list of one timeline window — every
-/// public field of [`TimelineWindow`] plus the lag-histogram accessors.
-#[must_use]
-pub fn timeline_fields(w: &TimelineWindow) -> Vec<(&'static str, FieldValue<'_>)> {
-    use FieldValue::U64;
-    vec![
-        ("start_ns", U64(w.start_ns)),
-        ("reads_completed", U64(w.reads_completed)),
-        ("writes_completed", U64(w.writes_completed)),
-        ("ol_arrivals", U64(w.ol_arrivals)),
-        ("ol_rejections", U64(w.ol_rejections)),
-        ("ol_retries", U64(w.ol_retries)),
-        ("ol_shed", U64(w.ol_shed)),
-        ("persists_issued", U64(w.persists_issued)),
-        ("service_ns", U64(w.service_ns)),
-        ("queue_ns", U64(w.queue_ns)),
-        ("network_ns", U64(w.network_ns)),
-        ("persist_stall_ns", U64(w.persist_stall_ns)),
-        ("nvm_queue_ns", U64(w.nvm_queue_ns)),
-        ("read_stall_ns", U64(w.read_stall_ns)),
-        ("admission_queue", U64(w.admission_queue)),
-        ("in_flight", U64(w.in_flight)),
-        ("nvm_bank_queue", U64(w.nvm_bank_queue)),
-        ("lag_count", U64(w.lag_count())),
-        ("lag_p50_ns", U64(w.lag_p50_ns())),
-        ("lag_p99_ns", U64(w.lag_p99_ns())),
-        ("lag_max_ns", U64(w.lag_max_ns())),
-        ("compaction_bytes", U64(w.compaction_bytes)),
-        ("active_compactions", U64(w.active_compactions)),
-    ]
-}
 
 /// Serializes one timeline window as a single JSON object (one line of
 /// the `--timeline` stream). `trial` is the grid index of the run and
@@ -54,13 +20,8 @@ pub fn timeline_window_to_json(trial: usize, window: usize, w: &TimelineWindow) 
     o.u64("trial", trial as u64);
     o.str("kind", "timeline_window");
     o.u64("window", window as u64);
-    for (name, value) in timeline_fields(w) {
-        match value {
-            FieldValue::U64(v) => o.u64(name, v),
-            FieldValue::F64(v) => o.f64(name, v),
-            FieldValue::Str(ref v) => o.str(name, v),
-            FieldValue::Pairs(_) => unreachable!("timeline fields are scalar"),
-        }
+    for (name, value) in w.columns() {
+        o.u64(name, value);
     }
     o.finish()
 }
@@ -102,7 +63,7 @@ mod tests {
     fn field_names_are_unique_and_cover_every_window_column() {
         let dump = dump();
         assert!(!dump.windows.is_empty(), "a run must fill windows");
-        let fields = timeline_fields(&dump.windows[0]);
+        let fields = dump.windows[0].columns();
         let mut names: Vec<&str> = fields.iter().map(|(n, _)| *n).collect();
         names.sort_unstable();
         names.dedup();
@@ -114,7 +75,7 @@ mod tests {
         let dump = dump();
         let line = timeline_window_to_json(3, 1, &dump.windows[0]);
         assert!(line.starts_with("{\"trial\":3,\"kind\":\"timeline_window\",\"window\":1,"));
-        for (name, _) in timeline_fields(&dump.windows[0]) {
+        for (name, _) in dump.windows[0].columns() {
             assert!(line.contains(&format!("\"{name}\":")), "{name} missing");
         }
     }

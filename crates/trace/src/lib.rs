@@ -13,9 +13,9 @@
 //! * [`WriteLifecycles`] — the open-write table that pairs each VP with
 //!   the first persist completion of that version anywhere in the
 //!   cluster, yielding the VP→DP durability-lag histogram.
-//! * [`PhaseAccum`] / [`PhaseBreakdown`] — per-op latency attribution:
-//!   service, same-key queueing, invalidation round-trip, durability
-//!   stall, NVM bank queueing, and read stalls by cause.
+//! * [`PhaseAccum`] — per-op latency attribution: service, same-key
+//!   queueing, invalidation round-trip, durability stall, NVM bank
+//!   queueing, and read stalls by cause.
 //! * [`SampleClock`] — fixed-interval gauge sampling evaluated *lazily*
 //!   at event-dispatch boundaries, so sampling never injects events into
 //!   the simulation (timestamps and results stay bit-identical).
@@ -39,7 +39,7 @@ mod ring;
 mod timeline;
 
 pub use lifecycle::{OpenWrite, WriteLifecycles};
-pub use phase::{PhaseAccum, PhaseBreakdown};
+pub use phase::PhaseAccum;
 pub use record::{StallCause, TraceEventKind, TraceRecord};
 pub use ring::{TraceDump, Tracer};
 pub use timeline::{Timeline, TimelineDump, TimelineWindow};

@@ -3,8 +3,8 @@
 //! Every completed write decomposes into non-overlapping intervals along
 //! its critical path; reads contribute their stall time split by cause.
 //! The raw accumulator ([`PhaseAccum`]) lives in `RunStats` and sums
-//! simulated durations; the condensed per-op means ([`PhaseBreakdown`])
-//! live in `RunSummary` next to the throughput/latency fields.
+//! simulated durations; `RunSummary` condenses it into per-op means (its
+//! `phase_*` fields) next to the throughput/latency fields.
 
 use ddp_sim::Duration;
 
@@ -70,56 +70,6 @@ impl PhaseAccum {
     }
 }
 
-/// Per-op mean phase times in nanoseconds — the condensed, comparable
-/// form `RunSummary` carries and the bench bins tabulate.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct PhaseBreakdown {
-    /// Mean service (link + admission + execution) ns per completed write.
-    pub service_ns: f64,
-    /// Mean same-key serialization wait ns per completed write.
-    pub queue_ns: f64,
-    /// Mean invalidation round-trip ns per completed write.
-    pub network_ns: f64,
-    /// Mean durability wait ns per completed write.
-    pub persist_stall_ns: f64,
-    /// Mean NVM bank queue wait ns per issued persist.
-    pub nvm_queue_ns: f64,
-    /// Mean stall ns per completed read (consistency + persist causes).
-    pub read_stall_ns: f64,
-}
-
-impl PhaseBreakdown {
-    /// Condenses raw accumulators into per-op means. `nvm_queue_wait` and
-    /// `persists` come from the NVM counters `RunStats` keeps outside the
-    /// accumulator; `reads` is the completed-read denominator.
-    #[must_use]
-    pub fn from_accum(
-        accum: &PhaseAccum,
-        nvm_queue_wait: Duration,
-        persists: u64,
-        reads: u64,
-    ) -> Self {
-        let per = |total: Duration, n: u64| {
-            if n == 0 {
-                0.0
-            } else {
-                total.as_nanos() as f64 / n as f64
-            }
-        };
-        PhaseBreakdown {
-            service_ns: per(accum.write_service, accum.writes),
-            queue_ns: per(accum.write_queue, accum.writes),
-            network_ns: per(accum.write_network, accum.writes),
-            persist_stall_ns: per(accum.write_persist_stall, accum.writes),
-            nvm_queue_ns: per(nvm_queue_wait, persists),
-            read_stall_ns: per(
-                accum.read_stall_consistency + accum.read_stall_persist,
-                reads,
-            ),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,36 +98,5 @@ mod tests {
         assert_eq!(merged.write_network, Duration::from_nanos(800));
         assert_eq!(merged.reads_stalled, 1);
         assert_eq!(merged.read_stall_persist, Duration::from_nanos(80));
-    }
-
-    #[test]
-    fn empty_accum_breaks_down_to_zeroes() {
-        let b = PhaseBreakdown::from_accum(&PhaseAccum::default(), Duration::ZERO, 0, 0);
-        assert_eq!(b, PhaseBreakdown::default());
-    }
-
-    #[test]
-    fn breakdown_divides_by_the_right_denominators() {
-        let mut a = PhaseAccum::default();
-        a.record_write(
-            Duration::from_nanos(100),
-            Duration::from_nanos(20),
-            Duration::from_nanos(300),
-            Duration::from_nanos(60),
-        );
-        a.record_write(
-            Duration::from_nanos(300),
-            Duration::ZERO,
-            Duration::from_nanos(500),
-            Duration::ZERO,
-        );
-        a.record_read_stall(Duration::from_nanos(40), Duration::from_nanos(80));
-        let b = PhaseBreakdown::from_accum(&a, Duration::from_nanos(900), 3, 4);
-        assert!((b.service_ns - 200.0).abs() < 1e-12);
-        assert!((b.queue_ns - 10.0).abs() < 1e-12);
-        assert!((b.network_ns - 400.0).abs() < 1e-12);
-        assert!((b.persist_stall_ns - 30.0).abs() < 1e-12);
-        assert!((b.nvm_queue_ns - 300.0).abs() < 1e-12);
-        assert!((b.read_stall_ns - 30.0).abs() < 1e-12);
     }
 }

@@ -144,6 +144,38 @@ impl TimelineWindow {
             + self.nvm_queue_ns
             + self.read_stall_ns
     }
+
+    /// The ordered `(name, value)` column list of this window — the
+    /// `--timeline` row schema: every public field, plus the lag
+    /// histogram through its `lag_*` accessors.
+    #[must_use]
+    pub fn columns(&self) -> [(&'static str, u64); 23] {
+        [
+            ("start_ns", self.start_ns),
+            ("reads_completed", self.reads_completed),
+            ("writes_completed", self.writes_completed),
+            ("ol_arrivals", self.ol_arrivals),
+            ("ol_rejections", self.ol_rejections),
+            ("ol_retries", self.ol_retries),
+            ("ol_shed", self.ol_shed),
+            ("persists_issued", self.persists_issued),
+            ("service_ns", self.service_ns),
+            ("queue_ns", self.queue_ns),
+            ("network_ns", self.network_ns),
+            ("persist_stall_ns", self.persist_stall_ns),
+            ("nvm_queue_ns", self.nvm_queue_ns),
+            ("read_stall_ns", self.read_stall_ns),
+            ("admission_queue", self.admission_queue),
+            ("in_flight", self.in_flight),
+            ("nvm_bank_queue", self.nvm_bank_queue),
+            ("lag_count", self.lag_count()),
+            ("lag_p50_ns", self.lag_p50_ns()),
+            ("lag_p99_ns", self.lag_p99_ns()),
+            ("lag_max_ns", self.lag_max_ns()),
+            ("compaction_bytes", self.compaction_bytes),
+            ("active_compactions", self.active_compactions),
+        ]
+    }
 }
 
 /// The drained contents of a timeline after a run.

@@ -61,7 +61,7 @@ fn records_are_addressable_by_grid_index() {
             r.index
         );
         assert!(r.summary.throughput > 0.0, "{model} produced no work");
-        assert!(r.counters.run_ns() > 0, "{model} recorded no run length");
+        assert!(r.summary.run_ns() > 0, "{model} recorded no run length");
     }
     assert_eq!(grid.baseline().model, DdpModel::baseline());
 }
