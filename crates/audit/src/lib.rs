@@ -1,4 +1,4 @@
-//! # ddp-audit — the workspace determinism & invariant auditor
+//! # ddp-audit — the workspace determinism auditor
 //!
 //! The workspace's load-bearing contract is *byte-identical output at any
 //! `--threads N`, across faults, overload, and sharded fleets*. The sweep
@@ -8,7 +8,7 @@
 //! build environment is offline, matching the shims philosophy in the
 //! workspace `Cargo.toml`).
 //!
-//! Three lint families:
+//! Two lint families:
 //!
 //! 1. **Determinism lints** — a disallowed-construct table
 //!    (`HashMap`/`HashSet`, `Instant::now`/`SystemTime`, ambient
@@ -18,11 +18,12 @@
 //! 2. **Unsafe inventory** — every `unsafe` needs a `// SAFETY:`
 //!    justification; simulation crates forbid it outright, and every
 //!    crate root must carry `#![forbid(unsafe_code)]`.
-//! 3. **Cross-file invariants** — `TraceEventKind` keeps explicit
-//!    stable discriminants, and every bench bin is smoke-covered in CI.
-//!    (Record and timeline columns need no lint: each is declared once,
-//!    next to its struct, and `tests/tests/schema.rs` checks them against
-//!    the compiler-derived field lists.)
+//!
+//! Contracts that span files are kept by construction rather than linted:
+//! trace kinds, run metrics and timeline columns are each declared once
+//! in a table the compiler checks (`trace_events!` in `ddp-trace`,
+//! `run_summary!` in `ddp-core`, `TimelineWindow::columns`), and the CI
+//! bench smoke step loops over every file in `crates/bench/src/bin/`.
 //!
 //! Run it three ways: `cargo run -p ddp-audit` (the CI gate),
 //! `cargo test` (the tier-1 wrapper in `tests/tests/audit.rs`), or as a
@@ -32,7 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod invariants;
 mod lexer;
 mod lints;
 mod source;
@@ -44,8 +44,8 @@ pub use source::{classify, find_workspace_root, load_workspace, CrateClass, Sour
 use std::io;
 use std::path::Path;
 
-/// Audits an in-memory file set: per-file lints over every Rust file plus
-/// the cross-file invariants, findings sorted by `(path, line, lint)`.
+/// Audits an in-memory file set: the per-file lints over every Rust file,
+/// findings sorted by `(path, line, lint)`.
 #[must_use]
 pub fn audit(files: &[SourceFile]) -> Vec<Finding> {
     let mut findings: Vec<Finding> = Vec::new();
@@ -54,7 +54,6 @@ pub fn audit(files: &[SourceFile]) -> Vec<Finding> {
             findings.extend(lint_file(f));
         }
     }
-    findings.extend(invariants::check(files));
     findings
         .sort_by(|a, b| (a.path.as_str(), a.line, a.lint).cmp(&(b.path.as_str(), b.line, b.lint)));
     findings

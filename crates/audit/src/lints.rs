@@ -55,8 +55,7 @@ pub struct LintSpec {
     pub summary: &'static str,
 }
 
-/// The full lint table, including the cross-file invariant checks that
-/// live in [`crate::invariants`].
+/// The full lint table.
 pub const LINTS: &[LintSpec] = &[
     LintSpec {
         name: "hash-collections",
@@ -102,16 +101,6 @@ pub const LINTS: &[LintSpec] = &[
         name: "unused-allow",
         escapable: false,
         summary: "an audit:allow that suppresses nothing must be removed",
-    },
-    LintSpec {
-        name: "trace-discriminants",
-        escapable: false,
-        summary: "TraceEventKind variants keep explicit, unique, stable discriminants",
-    },
-    LintSpec {
-        name: "bench-ci-coverage",
-        escapable: false,
-        summary: "every bench bin under crates/bench/src/bin/ must appear in .github/workflows/ci.yml",
     },
 ];
 

@@ -1,4 +1,4 @@
-//! `ddp-audit` — the workspace determinism & invariant audit gate.
+//! `ddp-audit` — the workspace determinism audit gate.
 //!
 //! ```text
 //! cargo run -p ddp-audit             # audit the enclosing workspace

@@ -86,15 +86,12 @@ pub fn classify(path: &str) -> CrateClass {
     }
 }
 
-/// The non-Rust files the cross-file checks need.
-const AUX_FILES: &[&str] = &[".github/workflows/ci.yml"];
-
 /// Directories whose contents hold auditable Rust sources.
 const SOURCE_ROOTS: &[&str] = &["crates", "tests", "examples", "shims"];
 
 /// Loads the auditable file set of a workspace checkout: every `.rs` file
-/// under the source roots (skipping any `target/` directory) plus the aux
-/// files, in sorted path order so findings are deterministic.
+/// under the source roots (skipping any `target/` directory), in sorted
+/// path order so findings are deterministic.
 ///
 /// # Errors
 ///
@@ -107,16 +104,10 @@ pub fn load_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
             walk_rs(&dir, &mut paths)?;
         }
     }
-    let mut files = Vec::with_capacity(paths.len() + AUX_FILES.len());
+    let mut files = Vec::with_capacity(paths.len());
     for p in paths {
         let rel = relative_unix(root, &p);
         files.push(SourceFile::new(rel, fs::read_to_string(&p)?));
-    }
-    for aux in AUX_FILES {
-        let p = root.join(aux);
-        if p.is_file() {
-            files.push(SourceFile::new((*aux).to_string(), fs::read_to_string(&p)?));
-        }
     }
     files.sort_by(|a, b| a.path.cmp(&b.path));
     Ok(files)

@@ -37,7 +37,7 @@ fn main() {
         println!("{title}");
         print!("{:<28}", "");
         for p in Persistency::ALL {
-            print!(" {:>8}", abbreviate(p));
+            print!(" {:>8}", p.short_name());
         }
         println!();
         print_rule(5);
@@ -54,14 +54,4 @@ fn main() {
     println!("               (b) Read-Enforced persistency raises read latency (NVM pressure);");
     println!("               (c) Causal/Eventual writes far below 1.0; Strict persistency ~1.0.");
     harness.finish();
-}
-
-fn abbreviate(p: Persistency) -> &'static str {
-    match p {
-        Persistency::Strict => "Strict",
-        Persistency::Synchronous => "Sync",
-        Persistency::ReadEnforced => "RdEnf",
-        Persistency::Scope => "Scope",
-        Persistency::Eventual => "Evntl",
-    }
 }

@@ -40,7 +40,7 @@ fn main() {
 
     print!("{:<28}", "");
     for p in Persistency::ALL {
-        print!(" {:>8}", short(p));
+        print!(" {:>8}", p.short_name());
     }
     println!();
     for (ci, clients) in CLIENTS.into_iter().enumerate() {
@@ -57,14 +57,4 @@ fn main() {
     println!("paper anchors: <Lin,Sync> gains ~2.2x going 100 -> 10 clients;");
     println!("               <Causal,Sync> and <Causal,Eventual> barely move.");
     harness.finish();
-}
-
-fn short(p: Persistency) -> &'static str {
-    match p {
-        Persistency::Strict => "Strict",
-        Persistency::Synchronous => "Sync",
-        Persistency::ReadEnforced => "RdEnf",
-        Persistency::Scope => "Scope",
-        Persistency::Eventual => "Evntl",
-    }
 }

@@ -41,7 +41,7 @@ fn main() {
 
     print!("{:<28}", "");
     for p in Persistency::ALL {
-        print!(" {:>8}", short(p));
+        print!(" {:>8}", p.short_name());
     }
     println!();
     for (ri, rtt_ns) in RTT_NS.into_iter().enumerate() {
@@ -60,14 +60,4 @@ fn main() {
         "               Causal models are barely affected (updates travel in the background)."
     );
     harness.finish();
-}
-
-fn short(p: Persistency) -> &'static str {
-    match p {
-        Persistency::Strict => "Strict",
-        Persistency::Synchronous => "Sync",
-        Persistency::ReadEnforced => "RdEnf",
-        Persistency::Scope => "Scope",
-        Persistency::Eventual => "Evntl",
-    }
 }

@@ -46,7 +46,7 @@ fn main() {
 
     print!("{:<28}", "");
     for p in Persistency::ALL {
-        print!(" {:>8}", short(p));
+        print!(" {:>8}", p.short_name());
     }
     println!();
     for (wi, (name, _)) in workloads.iter().enumerate() {
@@ -62,14 +62,4 @@ fn main() {
     print_rule(5);
     println!("paper anchor: the more read-intensive the workload, the less the models differ.");
     harness.finish();
-}
-
-fn short(p: Persistency) -> &'static str {
-    match p {
-        Persistency::Strict => "Strict",
-        Persistency::Synchronous => "Sync",
-        Persistency::ReadEnforced => "RdEnf",
-        Persistency::Scope => "Scope",
-        Persistency::Eventual => "Evntl",
-    }
 }

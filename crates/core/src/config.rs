@@ -631,17 +631,11 @@ impl ClusterConfig {
         if self.faults.active() && self.nodes > 64 {
             return Err("fault injection supports at most 64 nodes (ACK bitmasks)".into());
         }
-        if self.trace.events && self.trace.ring_capacity == 0 {
-            return Err("trace ring_capacity must be positive when events are on".into());
-        }
         if self.trace.sample_interval == Some(Duration::ZERO) {
             return Err("trace sample_interval must be positive".into());
         }
         if self.trace.timeline_window == Some(Duration::ZERO) {
             return Err("trace timeline_window must be positive".into());
-        }
-        if self.trace.timeline_window.is_some() && self.trace.timeline_max_windows == 0 {
-            return Err("trace timeline_max_windows must be positive".into());
         }
         self.validate_shards()
     }
@@ -755,22 +749,12 @@ mod tests {
             .with_trace(TraceConfig::enabled().with_sample_interval(Duration::from_micros(1)));
         assert!(traced.validate().is_ok());
 
-        let mut bad =
-            ClusterConfig::micro21(DdpModel::baseline()).with_trace(TraceConfig::enabled());
-        bad.trace.ring_capacity = 0;
-        assert!(bad.validate().is_err());
-
         let mut bad = ClusterConfig::micro21(DdpModel::baseline());
         bad.trace.sample_interval = Some(Duration::ZERO);
         assert!(bad.validate().is_err());
 
         let mut bad = ClusterConfig::micro21(DdpModel::baseline());
         bad.trace.timeline_window = Some(Duration::ZERO);
-        assert!(bad.validate().is_err());
-
-        let mut bad = ClusterConfig::micro21(DdpModel::baseline());
-        bad.trace.timeline_window = Some(Duration::from_micros(50));
-        bad.trace.timeline_max_windows = 0;
         assert!(bad.validate().is_err());
     }
 

@@ -95,6 +95,6 @@ pub use ddp_store::StoreKind;
 // Re-exported so harnesses and tests can configure and consume tracing
 // without depending on `ddp-trace` directly.
 pub use ddp_trace::{
-    PhaseAccum, StallCause, Timeline, TimelineDump, TimelineWindow, TraceConfig, TraceDump,
+    PhaseAccum, Slot, StallCause, Timeline, TimelineDump, TimelineWindow, TraceConfig, TraceDump,
     TraceEventKind, TraceRecord,
 };

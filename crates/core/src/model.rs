@@ -125,6 +125,18 @@ impl Persistency {
         }
     }
 
+    /// Short column label for figure tables (at most six characters).
+    #[must_use]
+    pub fn short_name(self) -> &'static str {
+        match self {
+            Persistency::Strict => "Strict",
+            Persistency::Synchronous => "Sync",
+            Persistency::ReadEnforced => "RdEnf",
+            Persistency::Scope => "Scope",
+            Persistency::Eventual => "Evntl",
+        }
+    }
+
     /// True if a replica must persist an update before acknowledging it
     /// (the ACK then certifies durability as well as visibility).
     #[must_use]

@@ -47,7 +47,7 @@ use crate::replica::ReplicaStore;
 use crate::stats::{RunStats, RunSummary};
 use ddp_trace::{
     SampleClock, Timeline, TimelineDump, TraceDump, TraceEventKind, TraceRecord, Tracer,
-    WriteLifecycles,
+    WriteLifecycles, RING_CAPACITY,
 };
 
 pub use admission::OpenLoopAccounting;
@@ -662,7 +662,7 @@ impl Cluster {
             nvm_images: vec![None; n],
             nvm_bytes: vec![BTreeMap::new(); n],
             tracer: if cfg.trace.events {
-                Tracer::enabled(cfg.trace.ring_capacity)
+                Tracer::enabled(RING_CAPACITY)
             } else {
                 Tracer::disabled()
             },

@@ -1,13 +1,14 @@
 //! JSON-lines serialization of trace event streams (`--trace PATH`).
 //!
-//! One line per [`TraceRecord`], with the payload words named per event
-//! kind (`key`, `version`, `lag_ns`, …) instead of the raw `a`/`b`/`c`/`d`
-//! slots, and one closing `trace_end` line per trial carrying the event
-//! and drop counts. Records contain only simulation output and trials are
+//! One line per [`TraceRecord`], with the payload words named by the
+//! kind's [`payload`](ddp_core::TraceEventKind::payload) schema (`key`,
+//! `version`, `lag_ns`, …) instead of the raw `a`/`b`/`c`/`d` slots, and
+//! one closing `trace_end` line per trial carrying the event and drop
+//! counts. Records contain only simulation output and trials are
 //! written in grid order, so the stream is byte-identical at any
 //! `--threads N`.
 
-use ddp_core::{StallCause, TraceDump, TraceEventKind, TraceRecord};
+use ddp_core::{Slot, StallCause, TraceDump, TraceRecord};
 
 use crate::json::JsonObject;
 
@@ -22,70 +23,10 @@ pub fn trace_event_to_json(trial: usize, r: &TraceRecord) -> String {
     o.u64("seq", r.seq);
     o.u64("at_ns", r.at_ns);
     o.u64("node", u64::from(r.node));
-    match r.kind {
-        TraceEventKind::WriteIssue
-        | TraceEventKind::WriteVp
-        | TraceEventKind::ReplicaApply
-        | TraceEventKind::PersistComplete => {
-            o.u64("key", r.a);
-            o.u64("version", r.b);
-        }
-        TraceEventKind::PersistIssue => {
-            o.u64("key", r.a);
-            o.u64("version", r.b);
-            o.u64("queue_wait_ns", r.c);
-        }
-        TraceEventKind::WriteDp => {
-            o.u64("key", r.a);
-            o.u64("version", r.b);
-            o.u64("lag_ns", r.c);
-        }
-        TraceEventKind::ReadIssue => {
-            o.u64("key", r.a);
-        }
-        TraceEventKind::ReadComplete => {
-            o.u64("key", r.a);
-            o.u64("version", r.b);
-            o.u64("latency_ns", r.c);
-        }
-        TraceEventKind::WriteComplete => {
-            o.u64("key", r.a);
-            o.u64("version", r.b);
-            o.u64("latency_ns", r.c);
-        }
-        TraceEventKind::StallBegin => {
-            o.u64("key", r.a);
-            o.u64("blocking_version", r.b);
-            o.str("cause", StallCause(r.c).name());
-        }
-        TraceEventKind::StallEnd => {
-            o.u64("key", r.a);
-            o.u64("stall_ns", r.c);
-        }
-        TraceEventKind::Sample => {
-            o.u64("inflight_ops", r.a);
-            o.u64("buffered_writes", r.b);
-            o.u64("nvm_inflight", r.c);
-            o.u64("retransmits", r.d);
-        }
-        TraceEventKind::AdmissionSample => {
-            o.u64("queued_arrivals", r.a);
-            o.u64("shed_total", r.b);
-            o.u64("retries", r.c);
-            o.u64("rejections", r.d);
-        }
-        TraceEventKind::NvmQueueSample => {
-            o.u64("bank_queued", r.a);
-            o.u64("nvm_inflight", r.b);
-        }
-        TraceEventKind::CompactionBegin => {
-            o.u64("work", r.a);
-            o.u64("entries", r.b);
-            o.u64("bytes", r.c);
-        }
-        TraceEventKind::CompactionEnd => {
-            o.u64("work", r.a);
-            o.u64("bytes", r.c);
+    for &(field, slot) in r.kind.payload() {
+        match slot {
+            Slot::Cause => o.str(field, StallCause(r.word(slot)).name()),
+            _ => o.u64(field, r.word(slot)),
         }
     }
     o.finish()
@@ -109,6 +50,7 @@ pub fn trace_end_to_json(trial: usize, label: &str, dump: &TraceDump) -> String 
 mod tests {
     use super::*;
     use crate::fleet::shard_line;
+    use ddp_core::TraceEventKind;
 
     fn rec(kind: TraceEventKind) -> TraceRecord {
         TraceRecord {

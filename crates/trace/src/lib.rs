@@ -40,46 +40,36 @@ mod timeline;
 
 pub use lifecycle::{OpenWrite, WriteLifecycles};
 pub use phase::PhaseAccum;
-pub use record::{StallCause, TraceEventKind, TraceRecord};
+pub use record::{Slot, StallCause, TraceEventKind, TraceRecord};
 pub use ring::{TraceDump, Tracer};
 pub use timeline::{Timeline, TimelineDump, TimelineWindow};
 
 use ddp_sim::Duration;
 
+/// Ring capacity in records: once full, the oldest records are
+/// overwritten and counted as dropped.
+pub const RING_CAPACITY: usize = 1 << 20;
+
+/// Maximum timeline windows kept per run: later events fold into the
+/// final window and are counted as clipped.
+pub const TIMELINE_MAX_WINDOWS: usize = 1 << 12;
+
 /// Tracing configuration carried by the cluster config. Inert by default:
 /// the simulation behaves (and performs) as if this crate did not exist.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Record lifecycle events into the ring buffer.
+    /// Record lifecycle events into a ring of [`RING_CAPACITY`] records.
     pub events: bool,
-    /// Ring capacity in records (oldest records are overwritten and
-    /// counted once full).
-    pub ring_capacity: usize,
     /// Emit gauge samples every this often (simulated time); `None`
     /// disables sampling.
     pub sample_interval: Option<Duration>,
     /// Aggregate a windowed metrics [`Timeline`] with this window width;
     /// `None` disables the timeline.
     pub timeline_window: Option<Duration>,
-    /// Maximum timeline windows kept per run (later events fold into the
-    /// final window and are counted as clipped).
-    pub timeline_max_windows: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            events: false,
-            ring_capacity: 1 << 20,
-            sample_interval: None,
-            timeline_window: None,
-            timeline_max_windows: 1 << 12,
-        }
-    }
 }
 
 impl TraceConfig {
-    /// Event tracing on, sampling off, default ring capacity.
+    /// Event tracing on, sampling off.
     #[must_use]
     pub fn enabled() -> Self {
         TraceConfig {
@@ -107,7 +97,7 @@ impl TraceConfig {
     #[must_use]
     pub fn build_timeline(&self) -> Timeline {
         match self.timeline_window {
-            Some(window) => Timeline::new(window, self.timeline_max_windows),
+            Some(window) => Timeline::new(window, TIMELINE_MAX_WINDOWS),
             None => Timeline::disabled(),
         }
     }
@@ -167,8 +157,6 @@ mod tests {
         assert!(cfg.sample_interval.is_none());
         assert!(cfg.timeline_window.is_none());
         assert!(!cfg.build_timeline().is_enabled());
-        assert!(cfg.ring_capacity > 0);
-        assert!(cfg.timeline_max_windows > 0);
     }
 
     #[test]

@@ -1,93 +1,120 @@
 //! The trace event vocabulary: one fixed-size, `Copy` record per event.
 //!
 //! Records are plain data — no heap, no strings — so pushing one onto the
-//! ring is a handful of stores. The payload words `a`/`b`/`c`/`d` are
-//! interpreted per [`TraceEventKind`]; the accessors on [`TraceRecord`]
-//! document the mapping, and the harness serializer names them properly
-//! in the JSON-lines output.
+//! ring is a handful of stores. The payload words `a`/`b`/`c`/`d` mean
+//! different things per [`TraceEventKind`]; the `trace_events!` table
+//! below is the one place that says what: each row gives a kind's stable
+//! discriminant, its stream name and its named payload fields in output
+//! order, each bound to the [`Slot`] it reads. Serializers walk
+//! [`TraceEventKind::payload`] instead of keeping their own copy.
 
-/// What happened. Discriminants are stable so dumps are comparable across
-/// builds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(u8)]
-pub enum TraceEventKind {
-    /// A coordinator began a write round (`a`=key, `b`=version).
-    WriteIssue = 0,
-    /// The write reached its Visibility Point: applied in the
-    /// coordinator's volatile store, readable by the protocol
-    /// (`a`=key, `b`=version; the timestamp is the apply instant).
-    WriteVp = 1,
-    /// A follower applied the value from an INV or UPD (`a`=key,
-    /// `b`=version).
-    ReplicaApply = 2,
-    /// A persist was submitted to a node's NVM device (`a`=key,
-    /// `b`=version — 0 for transaction-log persists, `c`=bank queue
-    /// wait in ns).
-    PersistIssue = 3,
-    /// A persist completed at a node (`a`=key, `b`=version).
-    PersistComplete = 4,
-    /// The write reached its Durability Point: the *first* persist of
-    /// this version completed anywhere in the cluster (`a`=key,
-    /// `b`=version, `c`=VP→DP lag in ns).
-    WriteDp = 5,
-    /// A client read began executing at its coordinator (`a`=key).
-    ReadIssue = 6,
-    /// A client read completed (`a`=key, `c`=latency in ns).
-    ReadComplete = 7,
-    /// A client write completed (`a`=key, `b`=version, `c`=latency ns).
-    WriteComplete = 8,
-    /// A read stalled (`a`=key, `b`=blocking version, `c`=cause bits:
-    /// [`StallCause`]).
-    StallBegin = 9,
-    /// A stalled read resumed (`a`=key, `c`=stall duration in ns).
-    StallEnd = 10,
-    /// A fixed-interval gauge sample (`a`=in-flight client ops,
-    /// `b`=buffered causal writes, `c`=NVM persists in flight,
-    /// `d`=cumulative retransmits).
-    Sample = 11,
-    /// A fixed-interval admission sample, emitted only on open-loop runs
-    /// (`a`=queued arrivals across all nodes, `b`=arrivals shed so far,
-    /// `c`=retries scheduled in the measured window, `d`=rejections in
-    /// the measured window).
-    AdmissionSample = 12,
-    /// A fixed-interval NVM bank-queue sample (`a`=requests queued behind
-    /// busy NVM banks across all nodes, `b`=persists in flight across all
-    /// nodes).
-    NvmQueueSample = 13,
-    /// An LSM background compaction (memtable seal or level merge) began
-    /// writing to NVM (`a`=kind: 0 for a seal, `level + 1` for a merge
-    /// out of `level`; `b`=entries, `c`=NVM bytes).
-    CompactionBegin = 14,
-    /// An LSM background compaction finished its NVM writes (`a`=kind as
-    /// in [`CompactionBegin`], `c`=NVM bytes).
-    ///
-    /// [`CompactionBegin`]: TraceEventKind::CompactionBegin
-    CompactionEnd = 15,
+/// Which payload word of a [`TraceRecord`] a named field reads, and how
+/// it renders.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Slot {
+    /// Word `a`, as an unsigned integer.
+    A,
+    /// Word `b`, as an unsigned integer.
+    B,
+    /// Word `c`, as an unsigned integer.
+    C,
+    /// Word `d`, as an unsigned integer.
+    D,
+    /// Word `c`, as [`StallCause`] bits rendered by [`StallCause::name`].
+    Cause,
 }
 
-impl TraceEventKind {
-    /// Stable lower-snake name used in serialized trace streams.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceEventKind::WriteIssue => "write_issue",
-            TraceEventKind::WriteVp => "write_vp",
-            TraceEventKind::ReplicaApply => "replica_apply",
-            TraceEventKind::PersistIssue => "persist_issue",
-            TraceEventKind::PersistComplete => "persist_complete",
-            TraceEventKind::WriteDp => "write_dp",
-            TraceEventKind::ReadIssue => "read_issue",
-            TraceEventKind::ReadComplete => "read_complete",
-            TraceEventKind::WriteComplete => "write_complete",
-            TraceEventKind::StallBegin => "stall_begin",
-            TraceEventKind::StallEnd => "stall_end",
-            TraceEventKind::Sample => "sample",
-            TraceEventKind::AdmissionSample => "admission_sample",
-            TraceEventKind::NvmQueueSample => "nvm_queue_sample",
-            TraceEventKind::CompactionBegin => "compaction_begin",
-            TraceEventKind::CompactionEnd => "compaction_end",
+/// Declares the trace vocabulary once: each row is a kind's doc, its
+/// discriminant, its stream name and its payload schema. Emits the
+/// `#[repr(u8)]` enum plus `ALL`, `name()` and `payload()`; rustc rejects
+/// a duplicate discriminant (E0081), so the numbers need no other check.
+macro_rules! trace_events {
+    ($(
+        $(#[$doc:meta])*
+        $kind:ident = $disc:literal, $name:literal { $($field:literal: $slot:ident),* $(,)? },
+    )*) => {
+        /// What happened. Discriminants are stable so dumps are comparable
+        /// across builds.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        #[repr(u8)]
+        pub enum TraceEventKind {
+            $($(#[$doc])* $kind = $disc,)*
         }
-    }
+
+        impl TraceEventKind {
+            /// Every kind, in discriminant order.
+            pub const ALL: &'static [TraceEventKind] = &[$(TraceEventKind::$kind,)*];
+
+            /// Stable lower-snake name used in serialized trace streams.
+            #[must_use]
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(TraceEventKind::$kind => $name,)*
+                }
+            }
+
+            /// The kind's named payload fields in output order, each with
+            /// the slot it reads.
+            #[must_use]
+            pub fn payload(self) -> &'static [(&'static str, Slot)] {
+                match self {
+                    $(TraceEventKind::$kind => &[$(($field, Slot::$slot)),*],)*
+                }
+            }
+        }
+    };
+}
+
+trace_events! {
+    /// A coordinator began a write round.
+    WriteIssue = 0, "write_issue" { "key": A, "version": B },
+    /// The write reached its Visibility Point: applied in the
+    /// coordinator's volatile store, readable by the protocol (the
+    /// timestamp is the apply instant).
+    WriteVp = 1, "write_vp" { "key": A, "version": B },
+    /// A follower applied the value from an INV or UPD.
+    ReplicaApply = 2, "replica_apply" { "key": A, "version": B },
+    /// A persist was submitted to a node's NVM device (`version` is 0 for
+    /// transaction-log persists; `queue_wait_ns` is the bank queue wait).
+    PersistIssue = 3, "persist_issue" { "key": A, "version": B, "queue_wait_ns": C },
+    /// A persist completed at a node.
+    PersistComplete = 4, "persist_complete" { "key": A, "version": B },
+    /// The write reached its Durability Point: the *first* persist of
+    /// this version completed anywhere in the cluster (`lag_ns` is the
+    /// VP→DP lag).
+    WriteDp = 5, "write_dp" { "key": A, "version": B, "lag_ns": C },
+    /// A client read began executing at its coordinator.
+    ReadIssue = 6, "read_issue" { "key": A },
+    /// A client read completed (`version` is the version it returned).
+    ReadComplete = 7, "read_complete" { "key": A, "version": B, "latency_ns": C },
+    /// A client write completed.
+    WriteComplete = 8, "write_complete" { "key": A, "version": B, "latency_ns": C },
+    /// A read stalled behind `blocking_version` for `cause`.
+    StallBegin = 9, "stall_begin" { "key": A, "blocking_version": B, "cause": Cause },
+    /// A stalled read resumed.
+    StallEnd = 10, "stall_end" { "key": A, "stall_ns": C },
+    /// A fixed-interval gauge sample (`retransmits` is cumulative).
+    Sample = 11, "sample" {
+        "inflight_ops": A, "buffered_writes": B, "nvm_inflight": C, "retransmits": D,
+    },
+    /// A fixed-interval admission sample, emitted only on open-loop runs
+    /// (`queued_arrivals` across all nodes, `shed_total` so far, `retries`
+    /// and `rejections` in the measured window).
+    AdmissionSample = 12, "admission_sample" {
+        "queued_arrivals": A, "shed_total": B, "retries": C, "rejections": D,
+    },
+    /// A fixed-interval NVM bank-queue sample (requests queued behind busy
+    /// NVM banks and persists in flight, across all nodes).
+    NvmQueueSample = 13, "nvm_queue_sample" { "bank_queued": A, "nvm_inflight": B },
+    /// An LSM background compaction (memtable seal or level merge) began
+    /// writing to NVM (`work` is 0 for a seal, `level + 1` for a merge out
+    /// of `level`; `bytes` are NVM bytes).
+    CompactionBegin = 14, "compaction_begin" { "work": A, "entries": B, "bytes": C },
+    /// An LSM background compaction finished its NVM writes (`work` as in
+    /// [`CompactionBegin`]).
+    ///
+    /// [`CompactionBegin`]: TraceEventKind::CompactionBegin
+    CompactionEnd = 15, "compaction_end" { "work": A, "bytes": C },
 }
 
 /// Why a read stalled, as a bitmask (a read can be blocked by both a
@@ -152,14 +179,25 @@ pub struct TraceRecord {
     pub b: u64,
     /// Third payload word (lag, latency, stall cause — per kind).
     pub c: u64,
-    /// Fourth payload word (only [`Sample`] uses it).
-    ///
-    /// [`Sample`]: TraceEventKind::Sample
+    /// Fourth payload word (only the gauge samples use it).
     pub d: u64,
     /// What happened.
     pub kind: TraceEventKind,
     /// Node the event happened at (coordinator for client-side events).
     pub node: u8,
+}
+
+impl TraceRecord {
+    /// The payload word `slot` reads ([`Slot::Cause`] reads `c`).
+    #[must_use]
+    pub fn word(&self, slot: Slot) -> u64 {
+        match slot {
+            Slot::A => self.a,
+            Slot::B => self.b,
+            Slot::C | Slot::Cause => self.c,
+            Slot::D => self.d,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -168,28 +206,60 @@ mod tests {
 
     #[test]
     fn kind_names_are_stable_and_unique() {
-        let kinds = [
-            TraceEventKind::WriteIssue,
-            TraceEventKind::WriteVp,
-            TraceEventKind::ReplicaApply,
-            TraceEventKind::PersistIssue,
-            TraceEventKind::PersistComplete,
-            TraceEventKind::WriteDp,
-            TraceEventKind::ReadIssue,
-            TraceEventKind::ReadComplete,
-            TraceEventKind::WriteComplete,
-            TraceEventKind::StallBegin,
-            TraceEventKind::StallEnd,
-            TraceEventKind::Sample,
-            TraceEventKind::AdmissionSample,
-            TraceEventKind::NvmQueueSample,
-            TraceEventKind::CompactionBegin,
-            TraceEventKind::CompactionEnd,
-        ];
-        let mut names: Vec<&str> = kinds.iter().map(|k| k.name()).collect();
+        let mut names: Vec<&str> = TraceEventKind::ALL.iter().map(|k| k.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), kinds.len());
+        assert_eq!(names.len(), TraceEventKind::ALL.len());
+    }
+
+    #[test]
+    fn discriminants_and_names_are_pinned() {
+        // Trace consumers persist these numbers and names: changing one is
+        // a stream-format change, not a refactor.
+        let pinned: Vec<(u8, &str)> = TraceEventKind::ALL
+            .iter()
+            .map(|&k| (k as u8, k.name()))
+            .collect();
+        assert_eq!(
+            pinned,
+            [
+                (0, "write_issue"),
+                (1, "write_vp"),
+                (2, "replica_apply"),
+                (3, "persist_issue"),
+                (4, "persist_complete"),
+                (5, "write_dp"),
+                (6, "read_issue"),
+                (7, "read_complete"),
+                (8, "write_complete"),
+                (9, "stall_begin"),
+                (10, "stall_end"),
+                (11, "sample"),
+                (12, "admission_sample"),
+                (13, "nvm_queue_sample"),
+                (14, "compaction_begin"),
+                (15, "compaction_end"),
+            ]
+        );
+    }
+
+    #[test]
+    fn payload_names_are_unique_and_clear_of_the_envelope() {
+        const ENVELOPE: [&str; 6] = ["trial", "kind", "seq", "at_ns", "node", "shard"];
+        for &kind in TraceEventKind::ALL {
+            let mut names: Vec<&str> = kind.payload().iter().map(|&(n, _)| n).collect();
+            assert!(
+                names.iter().all(|n| !ENVELOPE.contains(n)),
+                "{kind:?} payload collides with the envelope: {names:?}"
+            );
+            names.sort_unstable();
+            names.dedup();
+            assert_eq!(
+                names.len(),
+                kind.payload().len(),
+                "{kind:?} repeats a field"
+            );
+        }
     }
 
     #[test]

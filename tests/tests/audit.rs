@@ -1,6 +1,7 @@
 //! Tier-1 wrapper around `ddp-audit`: the workspace-is-clean gate plus
-//! known-bad fixtures proving every lint family actually fires (and that
-//! its sanctioned escape actually suppresses).
+//! known-bad fixtures proving every lint of both families (determinism
+//! and the unsafe inventory) actually fires, and that its sanctioned
+//! escape actually suppresses.
 //!
 //! The fixtures are in-memory [`SourceFile`]s, so these tests never touch
 //! disk except for the end-to-end audit of the real checkout. The
@@ -217,41 +218,6 @@ fn invalid_and_unused_allow_fixture() {
         "// audit:allow(wall-clock): fixture — used and well-formed\nfn f() { let t = Instant::now(); }\n",
     );
     assert!(lints_of(&used).is_empty());
-}
-
-// ---------------------------------------------------------------------
-// Cross-file invariants.
-// ---------------------------------------------------------------------
-
-#[test]
-fn trace_discriminants_fixture() {
-    let bad = one(
-        "crates/trace/src/record.rs",
-        "pub enum TraceEventKind { WriteVp = 0, WriteDp }",
-    );
-    assert_eq!(lints_of(&bad), vec!["trace-discriminants"]);
-
-    let good = one(
-        "crates/trace/src/record.rs",
-        "pub enum TraceEventKind { WriteVp = 0, WriteDp = 1 }",
-    );
-    assert!(lints_of(&good).is_empty());
-}
-
-#[test]
-fn bench_ci_coverage_fixture() {
-    let bin = SourceFile::new("crates/bench/src/bin/newfig.rs", "fn main() {}");
-    let ci = SourceFile::new(".github/workflows/ci.yml", "run: cargo test\n");
-    let findings = audit(&[bin, ci]);
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert_eq!(findings[0].lint, "bench-ci-coverage");
-
-    let bin = SourceFile::new("crates/bench/src/bin/newfig.rs", "fn main() {}");
-    let ci = SourceFile::new(
-        ".github/workflows/ci.yml",
-        "run: cargo run --release -p ddp-bench --bin newfig -- --quick\n",
-    );
-    assert!(audit(&[bin, ci]).is_empty());
 }
 
 // ---------------------------------------------------------------------
