@@ -859,7 +859,10 @@ impl Cluster {
     /// when the semantic instant — e.g. a Visibility Point — differs from
     /// the dispatch time of the handler recording it).
     #[inline]
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per field of the trace record"
+    )]
     pub(crate) fn trace_at(
         &mut self,
         ctx: &Context<'_, Event>,
@@ -958,7 +961,10 @@ impl Cluster {
     /// keeps the `PersistDone` scheduling in one place. `counted` mirrors
     /// the historical accounting: transaction-log persists are protocol
     /// overhead and are not counted as data persists.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per field of the persist request"
+    )]
     pub(crate) fn issue_persist(
         &mut self,
         ctx: &mut Context<'_, Event>,

@@ -368,7 +368,10 @@ impl Cluster {
     }
 
     /// A transaction-tagged INV at a follower.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per field of the transaction-tagged INV"
+    )]
     pub(crate) fn follower_txn_write(
         &mut self,
         ctx: &mut Context<'_, Event>,

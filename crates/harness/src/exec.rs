@@ -18,8 +18,12 @@
 //!   byte-identical for any `--threads N`.
 //!
 //! The work queue, the worker threads, and all wall-clock access live in
-//! [`crate::progress`] — the one module the determinism audit lets touch
-//! host time and threads. This file only decides *what* each worker runs.
+//! [`crate::progress`] — the one module the `clippy.toml` determinism bans
+//! let touch host time and threads. This file only decides *what* each
+//! worker runs.
+
+use std::io;
+use std::path::Path;
 
 use ddp_core::{Cluster, ClusterConfig, Simulation, TimelineDump, TraceDump};
 
@@ -117,43 +121,50 @@ pub struct Harness {
 }
 
 impl Harness {
-    /// Builds a harness from already-parsed arguments.
+    /// Builds a harness from already-parsed arguments, creating the
+    /// `--json`, `--csv`, `--trace` and `--timeline` files it was given.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the `--json`, `--csv`, or `--trace` path cannot be
-    /// created.
+    /// Returns a one-line message naming the flag and the path if an
+    /// output file cannot be created.
+    pub fn try_new(name: &'static str, args: HarnessArgs) -> Result<Self, String> {
+        fn create<'a, W>(
+            flag: &str,
+            path: Option<&'a Path>,
+            open: impl FnOnce(&'a Path) -> io::Result<W>,
+        ) -> Result<Option<W>, String> {
+            path.map(|p| open(p).map_err(|e| format!("cannot create {flag} {}: {e}", p.display())))
+                .transpose()
+        }
+        Ok(Harness {
+            name,
+            writer: create("--json", args.json.as_deref(), JsonLinesWriter::create)?,
+            csv_writer: create("--csv", args.csv.as_deref(), CsvWriter::create)?,
+            trace_writer: create("--trace", args.trace.as_deref(), JsonLinesWriter::create)?,
+            timeline_writer: create(
+                "--timeline",
+                args.timeline.as_deref(),
+                JsonLinesWriter::create,
+            )?,
+            args,
+            started: Stopwatch::start(),
+        })
+    }
+
+    /// [`Harness::try_new`] for a bin: if an output file cannot be
+    /// created, prints the reason to stderr and exits with status 2.
     #[must_use]
     pub fn new(name: &'static str, args: HarnessArgs) -> Self {
-        let writer = args.json.as_ref().map(|path| {
-            JsonLinesWriter::create(path)
-                .unwrap_or_else(|e| panic!("cannot create --json {}: {e}", path.display()))
-        });
-        let csv_writer = args.csv.as_ref().map(|path| {
-            CsvWriter::create(path)
-                .unwrap_or_else(|e| panic!("cannot create --csv {}: {e}", path.display()))
-        });
-        let trace_writer = args.trace.as_ref().map(|path| {
-            JsonLinesWriter::create(path)
-                .unwrap_or_else(|e| panic!("cannot create --trace {}: {e}", path.display()))
-        });
-        let timeline_writer = args.timeline.as_ref().map(|path| {
-            JsonLinesWriter::create(path)
-                .unwrap_or_else(|e| panic!("cannot create --timeline {}: {e}", path.display()))
-        });
-        Harness {
-            name,
-            args,
-            writer,
-            csv_writer,
-            trace_writer,
-            timeline_writer,
-            started: Stopwatch::start(),
-        }
+        Harness::try_new(name, args).unwrap_or_else(|e| {
+            eprintln!("{name}: {e}");
+            std::process::exit(2);
+        })
     }
 
     /// Parses the process arguments; on a parse error prints the usage to
-    /// stderr and exits with status 2.
+    /// stderr, and on an uncreatable output file the reason, and exits with
+    /// status 2.
     #[must_use]
     pub fn from_env(name: &'static str) -> Self {
         Harness::new(name, HarnessArgs::from_env(name))
@@ -348,6 +359,7 @@ impl Harness {
 mod tests {
     use super::*;
     use ddp_core::DdpModel;
+    use std::path::PathBuf;
 
     fn tiny_grid() -> Sweep {
         Sweep::grid25(|m| {
@@ -404,5 +416,39 @@ mod tests {
             let explicit = records(sweep().map_cfg(|c| c.with_store(StoreKind::Lsm)), 1);
             assert_eq!(flagged, explicit);
         }
+    }
+
+    /// Points one output flag at a path under a regular file, which can
+    /// never be created, and checks the one-line error names flag and path.
+    fn assert_uncreatable_is_an_error(flag: &str, set: fn(&mut HarnessArgs, PathBuf)) {
+        let bad = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/x"));
+        let mut args = HarnessArgs::sequential();
+        set(&mut args, bad.clone());
+        let err = Harness::try_new("exec-test", args).expect_err(flag);
+        assert!(
+            err.starts_with(&format!("cannot create {flag} {}: ", bad.display())),
+            "{err}"
+        );
+        assert!(!err.contains('\n'), "{err}");
+    }
+
+    #[test]
+    fn uncreatable_json_path_is_an_error() {
+        assert_uncreatable_is_an_error("--json", |a, p| a.json = Some(p));
+    }
+
+    #[test]
+    fn uncreatable_csv_path_is_an_error() {
+        assert_uncreatable_is_an_error("--csv", |a, p| a.csv = Some(p));
+    }
+
+    #[test]
+    fn uncreatable_trace_path_is_an_error() {
+        assert_uncreatable_is_an_error("--trace", |a, p| a.trace = Some(p));
+    }
+
+    #[test]
+    fn uncreatable_timeline_path_is_an_error() {
+        assert_uncreatable_is_an_error("--timeline", |a, p| a.timeline = Some(p));
     }
 }

@@ -45,7 +45,6 @@
 //! assert!(grid.baseline().summary.throughput > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod args;

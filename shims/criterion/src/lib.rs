@@ -11,11 +11,11 @@
 //! the spread. No outlier analysis, plots, or baselines; results are
 //! indicative, not rigorous.
 
-#![forbid(unsafe_code)]
-// Timing real benchmark runs is this shim's entire purpose, so the
-// workspace-wide wall-clock ban (clippy.toml disallowed-methods, mirrored
-// from ddp-audit, which exempts the shim class) does not apply here.
-#![allow(clippy::disallowed_methods)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "timing real benchmark runs is this shim's entire purpose"
+)]
+
 use std::time::{Duration, Instant};
 
 /// Target wall-clock time spent measuring each benchmark.
