@@ -64,28 +64,6 @@ fn open_config(model: DdpModel, plan: OpenLoopPlan) -> ClusterConfig {
     cfg
 }
 
-/// The six phase names of the timeline breakdown, in window-field order.
-const PHASE_NAMES: [&str; 6] = [
-    "service",
-    "queue",
-    "network",
-    "persist_stall",
-    "nvm_queue",
-    "read_stall",
-];
-
-/// One window's phase totals, in [`PHASE_NAMES`] order.
-fn phase_ns(w: &TimelineWindow) -> [u64; 6] {
-    [
-        w.service_ns,
-        w.queue_ns,
-        w.network_ns,
-        w.persist_stall_ns,
-        w.nvm_queue_ns,
-        w.read_stall_ns,
-    ]
-}
-
 /// A part-5 config: the open-loop run with the timeline enabled, the
 /// window width sized so the expected measured interval spans a few dozen
 /// windows regardless of the model's absolute rate.
@@ -110,8 +88,8 @@ fn timeline_config(
 fn aggregate_shares(windows: &[TimelineWindow]) -> [f64; 6] {
     let mut totals = [0u64; 6];
     for w in windows {
-        for (t, p) in totals.iter_mut().zip(phase_ns(w)) {
-            *t += p;
+        for (t, (_, ns)) in totals.iter_mut().zip(w.phases()) {
+            *t += ns;
         }
     }
     let sum: u64 = totals.iter().sum();
@@ -137,7 +115,7 @@ fn first_saturating_phase(
             if total == 0 {
                 [0.0; 6]
             } else {
-                phase_ns(w).map(|p| p as f64 / total as f64)
+                w.phases().map(|(_, ns)| ns as f64 / total as f64)
             }
         })
         .collect();
@@ -419,7 +397,7 @@ fn main() {
             Some((p, w, share)) => println!(
                 "{:<28} {:>14} {:>7} {:>8.1}% {:>8.1}%",
                 model.to_string(),
-                PHASE_NAMES[p],
+                knee_dump.windows[w].phases()[p].0,
                 w,
                 share * 100.0,
                 baseline_share[p] * 100.0
@@ -473,17 +451,16 @@ fn main() {
             }
         };
         // Dominant phase across the burst windows.
-        let mut totals = [0u64; 6];
+        let mut totals = [("-", 0u64); 6];
         for w in &b {
-            for (t, p) in totals.iter_mut().zip(phase_ns(w)) {
-                *t += p;
+            for (t, (name, ns)) in totals.iter_mut().zip(w.phases()) {
+                *t = (name, t.1 + ns);
             }
         }
         let dominant = totals
             .iter()
-            .enumerate()
-            .max_by_key(|(_, &t)| t)
-            .map_or("-", |(i, &t)| if t == 0 { "-" } else { PHASE_NAMES[i] });
+            .max_by_key(|&&(_, t)| t)
+            .map_or("-", |&(name, t)| if t == 0 { "-" } else { name });
         println!(
             "{:<28} {:>6} {:>6} {:>8} {:>8} {:>8.1} {:>8.1} {:>14}",
             model.to_string(),

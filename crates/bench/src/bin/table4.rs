@@ -7,7 +7,7 @@
 //! record — no simulations run here).
 
 use ddp_core::{Level, ModelTraits};
-use ddp_harness::{Harness, JsonObject};
+use ddp_harness::{Column, FieldValue, Harness};
 
 fn arrow(level: Level) -> &'static str {
     match level {
@@ -25,23 +25,24 @@ fn mark(b: bool) -> &'static str {
     }
 }
 
-fn row_json(index: usize, row: &ModelTraits) -> String {
-    let mut o = JsonObject::new();
-    o.u64("index", index as u64);
-    o.str("label", &row.model.to_string());
-    o.str("consistency", &row.model.consistency.to_string());
-    o.str("persistency", &row.model.persistency.to_string());
-    o.str("durability", arrow(row.durability));
-    o.bool("writes_optimized", row.writes_optimized);
-    o.bool("reads_optimized", row.reads_optimized);
-    o.str("traffic", arrow(row.traffic));
-    o.str("performance", arrow(row.performance));
-    o.bool("monotonic_reads", row.monotonic_reads);
-    o.bool("non_stale_reads", row.non_stale_reads);
-    o.str("intuitiveness", arrow(row.intuitiveness));
-    o.str("programmability", arrow(row.programmability));
-    o.str("implementability", arrow(row.implementability));
-    o.finish()
+fn traits_row(index: usize, row: &ModelTraits) -> [Column<'static>; 14] {
+    use FieldValue::{Bool, Str, U64};
+    [
+        ("index", U64(index as u64)),
+        ("label", Str(row.model.to_string().into())),
+        ("consistency", Str(row.model.consistency.to_string().into())),
+        ("persistency", Str(row.model.persistency.to_string().into())),
+        ("durability", Str(arrow(row.durability).into())),
+        ("writes_optimized", Bool(row.writes_optimized)),
+        ("reads_optimized", Bool(row.reads_optimized)),
+        ("traffic", Str(arrow(row.traffic).into())),
+        ("performance", Str(arrow(row.performance).into())),
+        ("monotonic_reads", Bool(row.monotonic_reads)),
+        ("non_stale_reads", Bool(row.non_stale_reads)),
+        ("intuitiveness", Str(arrow(row.intuitiveness).into())),
+        ("programmability", Str(arrow(row.programmability).into())),
+        ("implementability", Str(arrow(row.implementability).into())),
+    ]
 }
 
 fn main() {
@@ -67,7 +68,7 @@ fn main() {
             arrow(row.programmability),
             arrow(row.implementability),
         );
-        harness.emit_json_line(&row_json(i, row));
+        harness.emit_json_row(traits_row(i, row));
     }
     println!("\ncolumns: durability | writes/reads optimized, traffic, overall performance |");
     println!("         monotonic reads, non-stale reads, intuitiveness | programmability, implementability");

@@ -1,5 +1,7 @@
 //! Run statistics: everything Figures 6–9 and the §8 prose report.
 
+use std::borrow::Cow;
+
 use ddp_sim::{Duration, Histogram, LevelGauge, SimTime};
 use ddp_trace::PhaseAccum;
 
@@ -215,17 +217,25 @@ impl RunStats {
     }
 }
 
-/// One column value of a serialized run record.
+/// One column value of a serialized output row (a run record, trace
+/// event, timeline window, or derived row).
 #[derive(Clone, Debug, PartialEq)]
 pub enum FieldValue<'a> {
     /// An unsigned integer.
     U64(u64),
     /// A float (serialized as `null` in JSON when not finite).
     F64(f64),
-    /// A string (escaped per output format).
-    Str(String),
+    /// A boolean.
+    Bool(bool),
+    /// A string (escaped per output format); static names and borrowed
+    /// labels do not allocate.
+    Str(Cow<'a, str>),
     /// A `(node, simulated ns)` event trace.
     Pairs(&'a [(u8, u64)]),
+    /// An array of unsigned integers.
+    U64s(&'a [u64]),
+    /// An array of floats (non-finite elements serialize as `null`).
+    F64s(&'a [f64]),
 }
 
 /// The column form of a [`RunSummary`] field type.

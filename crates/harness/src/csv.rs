@@ -1,30 +1,52 @@
-//! CSV output for run records (`--csv PATH`).
+//! The CSV row writer (`--csv PATH`).
 //!
-//! The column list is the [`record_fields`] schema — the exact field list
+//! A `--csv` row is the [`record_fields`] schema — the exact field list
 //! `--json` serializes, in the same order — so the two output formats
 //! cannot drift. Quoting follows RFC 4180: a cell is quoted when it
 //! contains a comma, a double quote, or a line break, and embedded quotes
-//! are doubled. Event traces serialize as their JSON pair-array text
-//! (quoted, since it contains commas), which keeps a CSV row lossless
-//! with respect to the JSON record.
-
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::path::{Path, PathBuf};
+//! are doubled. Every other value is its JSON text, so event traces
+//! serialize as their JSON pair-array text (quoted, since it contains
+//! commas), which keeps a CSV row lossless with respect to the JSON
+//! record.
 
 use ddp_core::FieldValue;
 
-use crate::fields::record_fields;
-use crate::json::{json_events, json_f64};
+use crate::fields::{record_fields, Column};
+use crate::json::write_json_value;
 use crate::record::RunRecord;
+
+/// Quotes the cell `out[start..]` in place per RFC 4180, if it needs it.
+fn quote_from(out: &mut String, start: usize) {
+    if out[start..].contains([',', '"', '\n', '\r']) {
+        let cell = out.split_off(start);
+        out.push('"');
+        out.push_str(&cell.replace('"', "\"\""));
+        out.push('"');
+    }
+}
 
 /// Escapes one CSV cell per RFC 4180.
 #[must_use]
 pub fn escape_csv(cell: &str) -> String {
-    if cell.contains(',') || cell.contains('"') || cell.contains('\n') || cell.contains('\r') {
-        format!("\"{}\"", cell.replace('"', "\"\""))
-    } else {
-        cell.to_string()
+    let mut out = cell.to_string();
+    quote_from(&mut out, 0);
+    out
+}
+
+/// Appends one row to `out` as comma-separated cells (no trailing
+/// newline), columns in row order. Strings are written raw and every
+/// other value as its JSON text, each cell quoted if it needs it.
+pub(crate) fn write_csv<'a>(out: &mut String, row: impl IntoIterator<Item = Column<'a>>) {
+    for (i, (_, value)) in row.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let start = out.len();
+        match &value {
+            FieldValue::Str(v) => out.push_str(v),
+            v => write_json_value(out, v),
+        }
+        quote_from(out, start);
     }
 }
 
@@ -45,87 +67,9 @@ pub fn csv_header() -> String {
 /// in [`csv_header`] order.
 #[must_use]
 pub fn record_to_csv(r: &RunRecord) -> String {
-    record_fields(r)
-        .iter()
-        .map(|(_, value)| match value {
-            FieldValue::U64(v) => v.to_string(),
-            // `json_f64` gives the shortest round-trip float text (and
-            // `null` for non-finite values), matching the JSON stream.
-            FieldValue::F64(v) => json_f64(*v),
-            FieldValue::Str(v) => escape_csv(v),
-            FieldValue::Pairs(v) => escape_csv(&json_events(v)),
-        })
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-/// A CSV file writer: header on creation, one record per row, flushed
-/// explicitly.
-#[derive(Debug)]
-pub struct CsvWriter {
-    out: BufWriter<File>,
-    path: PathBuf,
-    rows: u64,
-}
-
-impl CsvWriter {
-    /// Creates (truncating) the output file and writes the header line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let mut out = BufWriter::new(File::create(&path)?);
-        out.write_all(csv_header().as_bytes())?;
-        out.write_all(b"\n")?;
-        Ok(CsvWriter { out, path, rows: 0 })
-    }
-
-    /// Writes one run record as a row.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_record(&mut self, record: &RunRecord) -> io::Result<()> {
-        self.out.write_all(record_to_csv(record).as_bytes())?;
-        self.out.write_all(b"\n")?;
-        self.rows += 1;
-        Ok(())
-    }
-
-    /// Writes a batch of records, one row each, in slice order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_records(&mut self, records: &[RunRecord]) -> io::Result<()> {
-        for r in records {
-            self.write_record(r)?;
-        }
-        Ok(())
-    }
-
-    /// Data rows written so far (the header is not counted).
-    #[must_use]
-    pub fn rows(&self) -> u64 {
-        self.rows
-    }
-
-    /// The path being written.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Flushes buffered output.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn flush(&mut self) -> io::Result<()> {
-        self.out.flush()
-    }
+    let mut out = String::new();
+    write_csv(&mut out, record_fields(r));
+    out
 }
 
 #[cfg(test)]
@@ -148,6 +92,32 @@ mod tests {
         // A probe record has no commas outside quoted cells, so the row
         // splits to the same width.
         assert_eq!(record_to_csv(&record).split(',').count(), header_cols);
+    }
+
+    #[test]
+    fn row_writer_emits_every_variant_as_a_cell() {
+        let (pairs, one, ints, floats) = ([(2, 100)], [5], [1, 2], [0.5, f64::NAN]);
+        let mut row = String::from("kept:");
+        write_csv(
+            &mut row,
+            [
+                ("a", FieldValue::Str("x\"y".into())),
+                ("b", FieldValue::Str("plain".into())),
+                ("c", FieldValue::U64(7)),
+                ("d", FieldValue::F64(0.25)),
+                ("e", FieldValue::F64(f64::INFINITY)),
+                ("f", FieldValue::Bool(true)),
+                ("g", FieldValue::Pairs(&pairs)),
+                ("h", FieldValue::Pairs(&[])),
+                ("i", FieldValue::U64s(&one)),
+                ("j", FieldValue::U64s(&ints)),
+                ("k", FieldValue::F64s(&floats)),
+            ],
+        );
+        assert_eq!(
+            row,
+            r#"kept:"x""y",plain,7,0.25,null,true,"[[2,100]]",[],[5],"[1,2]","[0.5,null]""#
+        );
     }
 
     #[test]

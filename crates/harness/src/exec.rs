@@ -22,21 +22,19 @@
 //! let touch host time and threads. This file only decides *what* each
 //! worker runs.
 
-use std::io;
-use std::path::Path;
+use std::path::PathBuf;
 
-use ddp_core::{Cluster, ClusterConfig, Simulation, TimelineDump, TraceDump};
+use ddp_core::{Cluster, ClusterConfig, FieldValue, Simulation, TimelineDump, TraceDump};
 
 use crate::args::HarnessArgs;
-use crate::csv::CsvWriter;
-use crate::fleet::shard_line;
-use crate::json::JsonLinesWriter;
+use crate::fields::{record_fields, record_row, Column};
 use crate::progress::{run_pool, Stopwatch};
 use crate::record::RunRecord;
-use crate::seeds::SeedAggregate;
+use crate::seeds::{aggregate_row, SeedAggregate};
+use crate::stream::{Format, Stream};
 use crate::sweep::Sweep;
-use crate::timeline::{timeline_end_to_json, timeline_window_to_json};
-use crate::trace::{trace_end_to_json, trace_event_to_json};
+use crate::timeline::{timeline_end_row, timeline_window_row};
+use crate::trace::{trace_end_row, trace_event_row};
 
 /// The default timeline window width when `--timeline` is given without
 /// `--window-ns`: 50 µs of simulated time, a few hundred windows on a
@@ -97,8 +95,8 @@ pub fn run_sweep(name: &str, sweep: Sweep, threads: usize) -> Vec<TrialOutput> {
 }
 
 /// The per-binary facade every bench bin runs through: parses the shared
-/// flags, owns the optional JSON-lines writer, applies `--quick`, and
-/// reports total wall-clock on exit.
+/// flags, owns the optional `--json`/`--csv`/`--trace`/`--timeline`
+/// streams, applies `--quick`, and reports total wall-clock on exit.
 ///
 /// ```no_run
 /// use ddp_core::ClusterConfig;
@@ -113,40 +111,51 @@ pub fn run_sweep(name: &str, sweep: Sweep, threads: usize) -> Vec<TrialOutput> {
 pub struct Harness {
     name: &'static str,
     args: HarnessArgs,
-    writer: Option<JsonLinesWriter>,
-    csv_writer: Option<CsvWriter>,
-    trace_writer: Option<JsonLinesWriter>,
-    timeline_writer: Option<JsonLinesWriter>,
+    json: Option<Stream>,
+    csv: Option<Stream>,
+    trace: Option<Stream>,
+    timeline: Option<Stream>,
     started: Stopwatch,
 }
 
+/// Prints `{bin}: {reason}` to stderr and exits with status 2.
+fn exit_2(name: &str, reason: &str) -> ! {
+    eprintln!("{name}: {reason}");
+    std::process::exit(2);
+}
+
+/// Writes one row to a stream, if that stream was asked for; a write
+/// error ends the bin with status 2.
+fn emit<'a>(name: &str, stream: &mut Option<Stream>, row: impl IntoIterator<Item = Column<'a>>) {
+    if let Some(stream) = stream {
+        if let Err(e) = stream.write(row) {
+            exit_2(name, &e);
+        }
+    }
+}
+
 impl Harness {
-    /// Builds a harness from already-parsed arguments, creating the
-    /// `--json`, `--csv`, `--trace` and `--timeline` files it was given.
+    /// Builds a harness from already-parsed arguments, checking that each
+    /// `--json`, `--csv`, `--trace` and `--timeline` path it was given can
+    /// be written. No existing file is truncated until its stream's first
+    /// row (or [`Harness::finish`]).
     ///
     /// # Errors
     ///
     /// Returns a one-line message naming the flag and the path if an
     /// output file cannot be created.
     pub fn try_new(name: &'static str, args: HarnessArgs) -> Result<Self, String> {
-        fn create<'a, W>(
-            flag: &str,
-            path: Option<&'a Path>,
-            open: impl FnOnce(&'a Path) -> io::Result<W>,
-        ) -> Result<Option<W>, String> {
-            path.map(|p| open(p).map_err(|e| format!("cannot create {flag} {}: {e}", p.display())))
+        let open = |flag, path: &Option<PathBuf>, format| {
+            path.as_deref()
+                .map(|p| Stream::open(flag, p, format))
                 .transpose()
-        }
+        };
         Ok(Harness {
             name,
-            writer: create("--json", args.json.as_deref(), JsonLinesWriter::create)?,
-            csv_writer: create("--csv", args.csv.as_deref(), CsvWriter::create)?,
-            trace_writer: create("--trace", args.trace.as_deref(), JsonLinesWriter::create)?,
-            timeline_writer: create(
-                "--timeline",
-                args.timeline.as_deref(),
-                JsonLinesWriter::create,
-            )?,
+            json: open("--json", &args.json, Format::Json)?,
+            csv: open("--csv", &args.csv, Format::Csv)?,
+            trace: open("--trace", &args.trace, Format::Json)?,
+            timeline: open("--timeline", &args.timeline, Format::Json)?,
             args,
             started: Stopwatch::start(),
         })
@@ -156,10 +165,7 @@ impl Harness {
     /// created, prints the reason to stderr and exits with status 2.
     #[must_use]
     pub fn new(name: &'static str, args: HarnessArgs) -> Self {
-        Harness::try_new(name, args).unwrap_or_else(|e| {
-            eprintln!("{name}: {e}");
-            std::process::exit(2);
-        })
+        Harness::try_new(name, args).unwrap_or_else(|e| exit_2(name, &e))
     }
 
     /// Parses the process arguments; on a parse error prints the usage to
@@ -183,11 +189,12 @@ impl Harness {
     /// streams, every trial's event stream to the `--trace` stream, and
     /// every trial's window rows to the `--timeline` stream, and returns
     /// the records in grid order. A sharded trial writes one stream per
-    /// shard; in a sweep with any sharded trial, every line is led by its
-    /// `"shard"` field.
+    /// shard; in a sweep with any sharded trial, every trace and timeline
+    /// row is led by a `"shard"` column.
     ///
     /// If any trial's config is invalid, nothing runs: the bin exits with
-    /// status 2, naming the trial and the reason.
+    /// status 2, naming the trial and the reason. So does a write error on
+    /// any stream.
     pub fn run(&mut self, sweep: Sweep) -> Vec<RunRecord> {
         let mut sweep = if self.args.quick {
             sweep.map_cfg(ClusterConfig::quick)
@@ -213,11 +220,10 @@ impl Harness {
             sweep = sweep.map_cfg(|cfg| cfg.with_trace(trace_cfg));
         }
         if let Err(e) = sweep.validate() {
-            eprintln!("{}: invalid configuration: {e}", self.name);
-            std::process::exit(2);
+            exit_2(self.name, &format!("invalid configuration: {e}"));
         }
         // One stream, one shape: if any trial is sharded, every trial's
-        // lines carry the shard field (shard 0 for a single group).
+        // trace and timeline rows carry the shard (0 for a single group).
         let sharded = sweep.trials().iter().any(|t| t.cfg.shards > 1);
         let results = run_sweep(self.name, sweep, self.args.threads);
         let mut records = Vec::with_capacity(results.len());
@@ -227,54 +233,31 @@ impl Harness {
             timelines,
         } in results
         {
-            let tag = |shard: usize, line: String| {
-                if sharded {
-                    shard_line(shard, &line)
-                } else {
-                    line
+            let (name, i, label) = (self.name, record.index, record.label.as_str());
+            let lead = |shard: usize| sharded.then_some(("shard", FieldValue::U64(shard as u64)));
+            for (shard, dump) in traces.iter().enumerate() {
+                for event in &dump.events {
+                    let row = lead(shard).into_iter().chain(trace_event_row(i, event));
+                    emit(name, &mut self.trace, row);
                 }
-            };
-            if let Some(writer) = &mut self.trace_writer {
-                for (shard, dump) in traces.iter().enumerate() {
-                    for event in &dump.events {
-                        writer
-                            .write_line(&tag(shard, trace_event_to_json(record.index, event)))
-                            .expect("writing --trace event");
-                    }
-                    writer
-                        .write_line(&tag(
-                            shard,
-                            trace_end_to_json(record.index, &record.label, dump),
-                        ))
-                        .expect("writing --trace trailer");
-                }
+                let row = lead(shard).into_iter().chain(trace_end_row(i, label, dump));
+                emit(name, &mut self.trace, row);
             }
-            if let Some(writer) = &mut self.timeline_writer {
-                for (shard, dump) in timelines.iter().enumerate() {
-                    for (k, w) in dump.windows.iter().enumerate() {
-                        writer
-                            .write_line(&tag(shard, timeline_window_to_json(record.index, k, w)))
-                            .expect("writing --timeline window");
-                    }
-                    writer
-                        .write_line(&tag(
-                            shard,
-                            timeline_end_to_json(record.index, &record.label, dump),
-                        ))
-                        .expect("writing --timeline trailer");
+            for (shard, dump) in timelines.iter().enumerate() {
+                for (k, w) in dump.windows.iter().enumerate() {
+                    let row = lead(shard).into_iter().chain(timeline_window_row(i, k, w));
+                    emit(name, &mut self.timeline, row);
                 }
+                let row = lead(shard)
+                    .into_iter()
+                    .chain(timeline_end_row(i, label, dump));
+                emit(name, &mut self.timeline, row);
             }
             records.push(record);
         }
-        if let Some(writer) = &mut self.writer {
-            writer
-                .write_records(&records)
-                .expect("writing --json records");
-        }
-        if let Some(writer) = &mut self.csv_writer {
-            writer
-                .write_records(&records)
-                .expect("writing --csv records");
+        for record in &records {
+            emit(self.name, &mut self.json, record_row(record));
+            emit(self.name, &mut self.csv, record_fields(record));
         }
         records
     }
@@ -282,7 +265,7 @@ impl Harness {
     /// Runs one sweep under `--seeds N` replication: every trial runs once
     /// per derived seed (replica 0 unchanged, so `--seeds 1` is exactly
     /// [`Harness::run`]), all `cells × N` records flow to the
-    /// `--json`/`--csv` streams, and one `seed_aggregate` JSON line per
+    /// `--json`/`--csv` streams, and one `seed_aggregate` JSON row per
     /// original cell (mean, stddev, min, max of the headline metrics)
     /// follows the records. Returns the flat seed-major records plus the
     /// per-cell aggregates.
@@ -291,60 +274,39 @@ impl Harness {
         let cells = sweep.len();
         let records = self.run(crate::seeds::replicate(&sweep, seeds));
         let aggregates = crate::seeds::aggregate_records(&records, cells, seeds);
-        if self.writer.is_some() {
-            for a in &aggregates {
-                let line = crate::seeds::aggregate_to_json(a);
-                self.emit_json_line(&line);
-            }
+        for a in &aggregates {
+            self.emit_json_row(aggregate_row(a));
         }
         (records, aggregates)
     }
 
-    /// Writes one extra pre-serialized JSON line (for derived, non-sweep
-    /// rows such as Table 4's). A no-op without `--json`.
-    pub fn emit_json_line(&mut self, json: &str) {
-        if let Some(writer) = &mut self.writer {
-            writer.write_line(json).expect("writing --json line");
-        }
+    /// Writes one extra row to the `--json` stream (for derived, non-sweep
+    /// rows such as Table 4's). A no-op without `--json`; a write error
+    /// ends the bin with status 2.
+    pub fn emit_json_row<'a>(&mut self, row: impl IntoIterator<Item = Column<'a>>) {
+        emit(self.name, &mut self.json, row);
     }
 
-    /// Flushes the output streams and reports the bin's total wall-clock
-    /// to stderr.
+    /// Flushes the output streams and reports each one's row count and the
+    /// bin's total wall-clock to stderr. A stream that received no row is
+    /// truncated here (a CSV stream keeps its header).
     pub fn finish(mut self) {
-        if let Some(writer) = &mut self.writer {
-            writer.flush().expect("flushing --json stream");
+        let streams = [
+            (&mut self.json, "JSON-lines record(s)"),
+            (&mut self.csv, "CSV row(s)"),
+            (&mut self.trace, "trace line(s)"),
+            (&mut self.timeline, "timeline line(s)"),
+        ];
+        for (stream, what) in streams {
+            let Some(stream) = stream else { continue };
+            if let Err(e) = stream.finish() {
+                exit_2(self.name, &e);
+            }
             eprintln!(
-                "[{}] wrote {} JSON-lines record(s) to {}",
+                "[{}] wrote {} {what} to {}",
                 self.name,
-                writer.lines(),
-                writer.path().display()
-            );
-        }
-        if let Some(writer) = &mut self.csv_writer {
-            writer.flush().expect("flushing --csv stream");
-            eprintln!(
-                "[{}] wrote {} CSV row(s) to {}",
-                self.name,
-                writer.rows(),
-                writer.path().display()
-            );
-        }
-        if let Some(writer) = &mut self.trace_writer {
-            writer.flush().expect("flushing --trace stream");
-            eprintln!(
-                "[{}] wrote {} trace line(s) to {}",
-                self.name,
-                writer.lines(),
-                writer.path().display()
-            );
-        }
-        if let Some(writer) = &mut self.timeline_writer {
-            writer.flush().expect("flushing --timeline stream");
-            eprintln!(
-                "[{}] wrote {} timeline line(s) to {}",
-                self.name,
-                writer.lines(),
-                writer.path().display()
+                stream.rows(),
+                stream.path().display()
             );
         }
         eprintln!(
@@ -358,8 +320,8 @@ impl Harness {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::tests::existing_file;
     use ddp_core::DdpModel;
-    use std::path::PathBuf;
 
     fn tiny_grid() -> Sweep {
         Sweep::grid25(|m| {
@@ -450,5 +412,43 @@ mod tests {
     #[test]
     fn uncreatable_timeline_path_is_an_error() {
         assert_uncreatable_is_an_error("--timeline", |a, p| a.timeline = Some(p));
+    }
+
+    #[test]
+    fn a_refused_harness_leaves_earlier_outputs_intact() {
+        let json = existing_file("refused.jsonl");
+        let mut args = HarnessArgs::sequential();
+        args.json = Some(json.clone());
+        args.csv = Some(PathBuf::from(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/Cargo.toml/x"
+        )));
+        Harness::try_new("exec-test", args).expect_err("--csv is uncreatable");
+        assert_eq!(std::fs::read(&json).unwrap(), b"old\n");
+        std::fs::remove_file(json).unwrap();
+    }
+
+    #[test]
+    fn a_harness_dropped_before_running_leaves_its_outputs_intact() {
+        let paths =
+            ["unrun.jsonl", "unrun.csv", "unrun.trace", "unrun.timeline"].map(existing_file);
+        let [json, csv, trace, timeline] = paths.clone().map(Some);
+        let args = HarnessArgs {
+            json,
+            csv,
+            trace,
+            timeline,
+            ..HarnessArgs::sequential()
+        };
+        drop(Harness::new("exec-test", args));
+        for path in paths {
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                b"old\n",
+                "{}",
+                path.display()
+            );
+            std::fs::remove_file(path).unwrap();
+        }
     }
 }

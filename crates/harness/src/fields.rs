@@ -13,19 +13,32 @@ use ddp_core::FieldValue;
 
 use crate::record::RunRecord;
 
+/// One named column of an output row. Every `--json`, `--csv`, `--trace`
+/// and `--timeline` line is a sequence of these, serialized by the one
+/// JSON row writer or the one CSV row writer.
+pub type Column<'a> = (&'static str, FieldValue<'a>);
+
 /// The ordered `(name, value)` field list of one run record — the single
 /// schema both the JSON-lines and CSV writers serialize.
 #[must_use]
-pub fn record_fields(r: &RunRecord) -> Vec<(&'static str, FieldValue<'_>)> {
+pub fn record_fields(r: &RunRecord) -> Vec<Column<'_>> {
     use FieldValue::{Str, U64};
     let mut fields = vec![
         ("index", U64(r.index as u64)),
-        ("label", Str(r.label.clone())),
-        ("consistency", Str(r.model.consistency.to_string())),
-        ("persistency", Str(r.model.persistency.to_string())),
+        ("label", Str(r.label.as_str().into())),
+        ("consistency", Str(r.model.consistency.to_string().into())),
+        ("persistency", Str(r.model.persistency.to_string().into())),
     ];
     fields.extend(r.summary.fields());
     fields
+}
+
+/// A record's `--json` row: [`record_fields`], then a sharded record's
+/// breakdown columns (see [`crate::fleet`]).
+pub(crate) fn record_row(r: &RunRecord) -> impl Iterator<Item = Column<'_>> {
+    record_fields(r)
+        .into_iter()
+        .chain(r.shards.iter().flat_map(crate::fleet::breakdown_fields))
 }
 
 #[cfg(test)]

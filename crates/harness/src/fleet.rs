@@ -3,45 +3,29 @@
 //! A trial whose config has `shards > 1` runs through the same executor
 //! and yields the same [`RunRecord`](crate::RunRecord) as any other; the
 //! record's pooled summary is followed, in JSON only, by the per-shard
-//! [`ShardBreakdown`] (see `breakdown_json`). Its trace and timeline
-//! come as one stream per shard, each line led by a `"shard"` field (see
-//! `shard_line`). Single-group trials carry neither, so their JSON,
-//! CSV, trace and timeline bytes are those of an unsharded harness.
+//! [`ShardBreakdown`] columns of `breakdown_fields`. Its trace and
+//! timeline come as one stream per shard, each row led by a `"shard"`
+//! column. Single-group trials carry neither, so their JSON, CSV, trace
+//! and timeline bytes are those of an unsharded harness.
 
-use ddp_core::ShardBreakdown;
+use ddp_core::{FieldValue, ShardBreakdown};
 
-use crate::json::{json_f64, JsonObject};
+use crate::fields::Column;
 
-/// Prepends a `"shard"` field to one serialized JSON object (a trace or
-/// timeline line of a sharded trial); nothing else about the line
-/// changes.
-pub(crate) fn shard_line(shard: usize, line: &str) -> String {
-    let rest = line
-        .strip_prefix('{')
-        .expect("stream lines are JSON objects");
-    format!("{{\"shard\":{shard},{rest}")
-}
-
-/// Appends a sharded record's breakdown fields to its JSON object, after
-/// the [`record_fields`](crate::fields::record_fields) columns.
-pub(crate) fn breakdown_json(o: &mut JsonObject, b: &ShardBreakdown) {
-    o.u64("shards", b.shard_completed.len() as u64);
-    o.str("placement", b.placement.name());
-    o.f64("imbalance", b.imbalance);
-    o.u64("cross_shard_groups", b.cross_shard_groups);
-    o.raw("shard_completed", &u64_array(&b.shard_completed));
-    o.raw("shard_throughput", &f64_array(&b.shard_throughput));
-    o.raw("offered_mass", &f64_array(&b.offered_mass));
-}
-
-fn u64_array(values: &[u64]) -> String {
-    let body: Vec<String> = values.iter().map(ToString::to_string).collect();
-    format!("[{}]", body.join(","))
-}
-
-fn f64_array(values: &[f64]) -> String {
-    let body: Vec<String> = values.iter().map(|&v| json_f64(v)).collect();
-    format!("[{}]", body.join(","))
+/// A sharded record's breakdown columns, which follow the
+/// [`record_fields`](crate::fields::record_fields) columns in its JSON
+/// row.
+pub(crate) fn breakdown_fields(b: &ShardBreakdown) -> [Column<'_>; 7] {
+    use FieldValue::{F64s, Str, U64s, F64, U64};
+    [
+        ("shards", U64(b.shard_completed.len() as u64)),
+        ("placement", Str(b.placement.name().into())),
+        ("imbalance", F64(b.imbalance)),
+        ("cross_shard_groups", U64(b.cross_shard_groups)),
+        ("shard_completed", U64s(&b.shard_completed)),
+        ("shard_throughput", F64s(&b.shard_throughput)),
+        ("offered_mass", F64s(&b.offered_mass)),
+    ]
 }
 
 #[cfg(test)]

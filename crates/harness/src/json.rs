@@ -1,20 +1,19 @@
-//! Hand-rolled JSON-lines output.
+//! The JSON row writer: one flat object per output line.
 //!
-//! The build environment is offline, so there is no `serde`; the subset of
-//! JSON the harness needs (flat objects, strings, integers, floats, and
-//! `[node, ns]` pair arrays) is small enough to emit by hand. The one part
-//! that must be *correct* rather than merely convenient is string
-//! escaping — labels contain `<`, `>`, commas today and arbitrary text
-//! tomorrow — so [`escape_json`] and its inverse [`unescape_json`] are
-//! round-trip tested over the full control-character range.
+//! The build environment is offline, so there is no `serde`; every line
+//! the harness emits is a flat object whose values are numbers, booleans,
+//! strings, or arrays of numbers, which `write_json` appends straight
+//! into a caller's reused buffer. The one part that must be *correct*
+//! rather than merely convenient is string escaping — labels contain
+//! `<`, `>`, commas today and arbitrary text tomorrow — so
+//! [`escape_json`] and its inverse [`unescape_json`] are round-trip
+//! tested over the full control-character range.
 
 use std::fmt::Write as _;
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::path::{Path, PathBuf};
 
 use ddp_core::FieldValue;
 
+use crate::fields::{record_row, Column};
 use crate::record::RunRecord;
 
 /// Escapes a string for inclusion in a JSON string literal (RFC 8259):
@@ -22,6 +21,12 @@ use crate::record::RunRecord;
 #[must_use]
 pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_escaped(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out`, escaped per [`escape_json`].
+fn push_escaped(out: &mut String, s: &str) {
     for ch in s.chars() {
         match ch {
             '"' => out.push_str("\\\""),
@@ -37,7 +42,6 @@ pub fn escape_json(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 /// Inverse of [`escape_json`]: decodes the escape sequences of a JSON
@@ -91,198 +95,86 @@ fn read_hex4(chars: &mut std::str::Chars<'_>) -> Option<u32> {
     Some(code)
 }
 
-/// Formats a float as a JSON value: shortest round-trip representation
+/// Appends a float's JSON text: the shortest round-trip representation
 /// for finite values, `null` for NaN/infinities (which JSON cannot carry).
-#[must_use]
-pub fn json_f64(v: f64) -> String {
+fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        format!("{v}")
+        let _ = write!(out, "{v}");
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
 }
 
-/// An incremental flat-object builder (the only JSON shape the harness
-/// emits).
-///
-/// # Examples
-///
-/// ```
-/// use ddp_harness::JsonObject;
-///
-/// let mut o = JsonObject::new();
-/// o.str("name", "a \"quoted\" label");
-/// o.u64("count", 3);
-/// o.f64("ratio", 0.5);
-/// assert_eq!(
-///     o.finish(),
-///     r#"{"name":"a \"quoted\" label","count":3,"ratio":0.5}"#
-/// );
-/// ```
-#[derive(Debug, Default)]
-pub struct JsonObject {
-    buf: String,
-}
-
-impl JsonObject {
-    /// Starts an empty object.
-    #[must_use]
-    pub fn new() -> Self {
-        JsonObject { buf: String::new() }
-    }
-
-    fn key(&mut self, key: &str) {
-        if !self.buf.is_empty() {
-            self.buf.push(',');
+/// Appends `[a,b,...]`, each element written by `item`.
+fn push_array<T>(out: &mut String, items: &[T], item: impl Fn(&mut String, &T)) {
+    out.push('[');
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
-        let _ = write!(self.buf, "\"{}\":", escape_json(key));
+        item(out, x);
     }
+    out.push(']');
+}
 
-    /// Adds a string field (escaped).
-    pub fn str(&mut self, key: &str, value: &str) {
-        self.key(key);
-        let _ = write!(self.buf, "\"{}\"", escape_json(value));
-    }
-
-    /// Adds an unsigned-integer field.
-    pub fn u64(&mut self, key: &str, value: u64) {
-        self.key(key);
-        let _ = write!(self.buf, "{value}");
-    }
-
-    /// Adds a float field (`null` if not finite).
-    pub fn f64(&mut self, key: &str, value: f64) {
-        self.key(key);
-        self.buf.push_str(&json_f64(value));
-    }
-
-    /// Adds a boolean field.
-    pub fn bool(&mut self, key: &str, value: bool) {
-        self.key(key);
-        self.buf.push_str(if value { "true" } else { "false" });
-    }
-
-    /// Adds a pre-serialized JSON value verbatim (arrays, nested objects).
-    pub fn raw(&mut self, key: &str, value: &str) {
-        self.key(key);
-        self.buf.push_str(value);
-    }
-
-    /// Closes the object and returns the JSON text.
-    #[must_use]
-    pub fn finish(self) -> String {
-        format!("{{{}}}", self.buf)
+/// Appends one column value's JSON text. Strings are quoted and escaped;
+/// `(node, ns)` traces become `[[node,ns],...]`.
+pub(crate) fn write_json_value(out: &mut String, value: &FieldValue<'_>) {
+    match value {
+        FieldValue::U64(v) => {
+            let _ = write!(out, "{v}");
+        }
+        FieldValue::F64(v) => push_f64(out, *v),
+        FieldValue::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
+        FieldValue::Str(v) => {
+            out.push('"');
+            push_escaped(out, v);
+            out.push('"');
+        }
+        FieldValue::Pairs(v) => push_array(out, v, |out, (n, t)| {
+            let _ = write!(out, "[{n},{t}]");
+        }),
+        FieldValue::U64s(v) => push_array(out, v, |out, x| {
+            let _ = write!(out, "{x}");
+        }),
+        FieldValue::F64s(v) => push_array(out, v, |out, &x| push_f64(out, x)),
     }
 }
 
-/// Serializes `(node, ns)` event traces as `[[node,ns],...]`.
-#[must_use]
-pub(crate) fn json_events(events: &[(u8, u64)]) -> String {
-    let cells: Vec<String> = events.iter().map(|(n, t)| format!("[{n},{t}]")).collect();
-    format!("[{}]", cells.join(","))
+/// Appends one row to `out` as a flat JSON object (no trailing newline),
+/// columns in row order. Every `--json`, `--trace` and `--timeline` line
+/// is written by this function.
+pub(crate) fn write_json<'a>(out: &mut String, row: impl IntoIterator<Item = Column<'a>>) {
+    out.push('{');
+    for (i, (name, value)) in row.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('"');
+        push_escaped(out, name);
+        out.push_str("\":");
+        write_json_value(out, &value);
+    }
+    out.push('}');
 }
 
-/// Serializes one run record as a single JSON object (one JSON-lines row).
-///
-/// The field list comes from [`record_fields`](crate::fields::record_fields)
-/// — the same schema the CSV writer walks, so the two formats cannot
-/// drift. A sharded record's per-shard breakdown follows those columns
-/// (JSON only; see [`crate::fleet`]). Records contain only simulation
-/// output, so the serialized form is byte-identical no matter how many
-/// threads executed the sweep.
+/// One row as a fresh JSON string: the `-> String` form of [`write_json`].
+pub(crate) fn to_json<'a>(row: impl IntoIterator<Item = Column<'a>>) -> String {
+    let mut out = String::new();
+    write_json(&mut out, row);
+    out
+}
+
+/// Serializes one run record as a single JSON object (one JSON-lines row):
+/// the [`record_fields`](crate::fields::record_fields) columns — the
+/// schema the CSV writer walks too, so the two formats cannot drift —
+/// followed, for a sharded record, by its per-shard breakdown (JSON only;
+/// see [`crate::fleet`]). Records contain only simulation output, so the
+/// serialized form is byte-identical no matter how many threads executed
+/// the sweep.
 #[must_use]
 pub fn record_to_json(r: &RunRecord) -> String {
-    let mut o = JsonObject::new();
-    for (name, value) in crate::fields::record_fields(r) {
-        match value {
-            FieldValue::U64(v) => o.u64(name, v),
-            FieldValue::F64(v) => o.f64(name, v),
-            FieldValue::Str(v) => o.str(name, &v),
-            FieldValue::Pairs(v) => o.raw(name, &json_events(v)),
-        }
-    }
-    if let Some(shards) = &r.shards {
-        crate::fleet::breakdown_json(&mut o, shards);
-    }
-    o.finish()
-}
-
-/// A JSON-lines file writer: one record per line, flushed on drop.
-#[derive(Debug)]
-pub struct JsonLinesWriter {
-    out: BufWriter<File>,
-    path: PathBuf,
-    lines: u64,
-}
-
-impl JsonLinesWriter {
-    /// Creates (truncating) the output file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        Ok(JsonLinesWriter {
-            out: BufWriter::new(File::create(&path)?),
-            path,
-            lines: 0,
-        })
-    }
-
-    /// Writes one pre-serialized JSON value as a line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_line(&mut self, json: &str) -> io::Result<()> {
-        self.out.write_all(json.as_bytes())?;
-        self.out.write_all(b"\n")?;
-        self.lines += 1;
-        Ok(())
-    }
-
-    /// Writes one run record as a line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_record(&mut self, record: &RunRecord) -> io::Result<()> {
-        self.write_line(&record_to_json(record))
-    }
-
-    /// Writes a batch of records, one line each, in slice order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_records(&mut self, records: &[RunRecord]) -> io::Result<()> {
-        for r in records {
-            self.write_record(r)?;
-        }
-        Ok(())
-    }
-
-    /// Lines written so far.
-    #[must_use]
-    pub fn lines(&self) -> u64 {
-        self.lines
-    }
-
-    /// The path being written.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Flushes buffered output.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn flush(&mut self) -> io::Result<()> {
-        self.out.flush()
-    }
+    to_json(record_row(r))
 }
 
 #[cfg(test)]
@@ -315,30 +207,56 @@ mod tests {
         assert!(unescape_json("trailing \\").is_none());
     }
 
-    #[test]
-    fn json_f64_handles_non_finite() {
-        assert_eq!(json_f64(1.5), "1.5");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
+    /// One column's JSON value text.
+    fn value(v: FieldValue<'_>) -> String {
+        let mut out = String::new();
+        write_json_value(&mut out, &v);
+        out
     }
 
     #[test]
-    fn object_builder_emits_flat_json() {
-        let mut o = JsonObject::new();
-        o.str("a", "x\"y");
-        o.u64("b", 7);
-        o.f64("c", 0.25);
-        o.bool("d", true);
-        o.raw("e", "[1,2]");
+    fn json_f64_handles_non_finite() {
+        assert_eq!(value(FieldValue::F64(1.5)), "1.5");
+        assert_eq!(value(FieldValue::F64(f64::NAN)), "null");
+        assert_eq!(value(FieldValue::F64(f64::INFINITY)), "null");
+        let floats = [0.25, f64::NEG_INFINITY];
+        assert_eq!(value(FieldValue::F64s(&floats)), "[0.25,null]");
+    }
+
+    #[test]
+    fn row_writer_emits_every_variant_as_flat_json() {
+        let (pairs, ints, floats) = ([(2, 100)], [1, 2], [0.5]);
+        let line = to_json([
+            ("a", FieldValue::Str("x\"y".into())),
+            ("b", FieldValue::U64(7)),
+            ("c", FieldValue::F64(0.25)),
+            ("d", FieldValue::Bool(true)),
+            ("e", FieldValue::Bool(false)),
+            ("f", FieldValue::Pairs(&pairs)),
+            ("g", FieldValue::U64s(&ints)),
+            ("h", FieldValue::F64s(&floats)),
+        ]);
         assert_eq!(
-            o.finish(),
-            r#"{"a":"x\"y","b":7,"c":0.25,"d":true,"e":[1,2]}"#
+            line,
+            r#"{"a":"x\"y","b":7,"c":0.25,"d":true,"e":false,"f":[[2,100]],"g":[1,2],"h":[0.5]}"#
         );
+        assert_eq!(to_json([]), "{}");
+    }
+
+    #[test]
+    fn row_writer_appends_to_the_buffer() {
+        let mut out = String::from("kept");
+        write_json(&mut out, [("k", FieldValue::U64(1))]);
+        assert_eq!(out, r#"kept{"k":1}"#);
     }
 
     #[test]
     fn events_serialize_as_pair_arrays() {
-        assert_eq!(json_events(&[]), "[]");
-        assert_eq!(json_events(&[(2, 100), (3, 7)]), "[[2,100],[3,7]]");
+        assert_eq!(value(FieldValue::Pairs(&[])), "[]");
+        assert_eq!(
+            value(FieldValue::Pairs(&[(2, 100), (3, 7)])),
+            "[[2,100],[3,7]]"
+        );
+        assert_eq!(value(FieldValue::U64s(&[])), "[]");
     }
 }

@@ -16,16 +16,19 @@
 //!    completion order**; progress goes to stderr. A trial whose config
 //!    has `shards > 1` runs through the same path and yields the same
 //!    record type, with a per-shard breakdown (see [`fleet`]).
-//! 3. **Structured output + presentation** ([`JsonLinesWriter`],
+//! 3. **Structured output + presentation** ([`Column`],
 //!    [`record_to_json`], [`print_row`]/[`print_rule`]/[`bar`],
-//!    [`ratio`]/[`normalized`]) — a hand-rolled JSON-lines writer (the
-//!    build is offline; no serde) behind `--json PATH`, a CSV twin behind
-//!    `--csv PATH` that walks the same [`record_fields`] schema (the two
-//!    formats cannot drift; the metric columns come from the one
-//!    `RunSummary` table in `ddp-core`), per-trial trace event streams
-//!    behind `--trace PATH` / `--trace-sample NS`, per-window timeline
-//!    rows behind `--timeline PATH` / `--window-ns NS`, plus the table
-//!    helpers every figure prints through.
+//!    [`ratio`]/[`normalized`]) — every output line is a *row*, an
+//!    iterator of named [`Column`]s, and one JSON row writer and one CSV
+//!    row writer (hand-rolled: the build is offline; no serde) append it
+//!    to a reused buffer. One `Stream` type writes each of `--json PATH`
+//!    (run records plus derived rows), `--csv PATH` (the same
+//!    [`record_fields`] schema, so the two formats cannot drift; the
+//!    metric columns come from the one `RunSummary` table in `ddp-core`),
+//!    `--trace PATH` / `--trace-sample NS` (per-trial event streams) and
+//!    `--timeline PATH` / `--window-ns NS` (per-window rows); a sharded
+//!    trial's trace and timeline rows lead with a `"shard"` column. Plus
+//!    the table helpers every figure prints through.
 //!
 //! ```
 //! use ddp_core::{ClusterConfig, DdpModel};
@@ -56,25 +59,26 @@ pub mod json;
 pub mod progress;
 pub mod record;
 pub mod seeds;
+mod stream;
 pub mod sweep;
 pub mod table;
 pub mod timeline;
 pub mod trace;
 
 pub use args::{default_threads, HarnessArgs};
-pub use csv::{csv_header, escape_csv, record_to_csv, CsvWriter};
+pub use csv::{csv_header, escape_csv, record_to_csv};
 pub use exec::{run_sweep, Harness, TrialOutput};
-pub use fields::record_fields;
-pub use json::{escape_json, json_f64, record_to_json, unescape_json, JsonLinesWriter, JsonObject};
+pub use fields::{record_fields, Column};
+pub use json::{escape_json, record_to_json, unescape_json};
 pub use progress::{available_threads, run_pool, Stopwatch};
 pub use record::RunRecord;
-pub use seeds::{aggregate_records, aggregate_to_json, replicate, reseed, SeedAggregate, SeedStat};
+pub use seeds::{aggregate_records, replicate, reseed, SeedAggregate, SeedStat};
 pub use sweep::{ModelGrid, Sweep, Trial};
 pub use table::{bar, normalized, print_row, print_rule, ratio};
 pub use timeline::{timeline_end_to_json, timeline_window_to_json};
 pub use trace::{trace_end_to_json, trace_event_to_json};
 
-// The record column value type, declared with `RunSummary` in `ddp-core`.
+// The column value type, declared with `RunSummary` in `ddp-core`.
 pub use ddp_core::FieldValue;
 
 use ddp_core::{ClusterConfig, DdpModel, RunSummary, Simulation};

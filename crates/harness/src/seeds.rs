@@ -10,9 +10,9 @@
 //! is byte-identical to the unreplicated sweep and every `--seeds 1` run
 //! reproduces existing output exactly.
 
-use ddp_core::{ClusterConfig, DdpModel};
+use ddp_core::{ClusterConfig, DdpModel, FieldValue};
 
-use crate::json::JsonObject;
+use crate::fields::Column;
 use crate::record::RunRecord;
 use crate::sweep::Sweep;
 
@@ -167,30 +167,35 @@ pub fn aggregate_records(records: &[RunRecord], cells: usize, seeds: u32) -> Vec
         .collect()
 }
 
-/// Serializes one aggregate as a JSON-lines row (`"kind":"seed_aggregate"`)
-/// for the `--json` stream, alongside the per-replica run records.
-#[must_use]
-pub fn aggregate_to_json(a: &SeedAggregate) -> String {
-    let mut o = JsonObject::new();
-    o.str("kind", "seed_aggregate");
-    o.u64("index", a.index as u64);
-    o.str("label", &a.label);
-    o.str("consistency", &a.model.consistency.to_string());
-    o.str("persistency", &a.model.persistency.to_string());
-    o.u64("seeds", u64::from(a.seeds));
-    let mut stat = |name: &str, s: &SeedStat| {
-        o.f64(&format!("{name}_mean"), s.mean);
-        o.f64(&format!("{name}_stddev"), s.stddev);
-        o.f64(&format!("{name}_min"), s.min);
-        o.f64(&format!("{name}_max"), s.max);
+/// Each named [`SeedStat`] field of an aggregate as four `F64` columns,
+/// `<field>_mean`, `_stddev`, `_min` and `_max`.
+macro_rules! stat_columns {
+    ($a:ident: $($field:ident),*) => {
+        [$(
+            (concat!(stringify!($field), "_mean"), FieldValue::F64($a.$field.mean)),
+            (concat!(stringify!($field), "_stddev"), FieldValue::F64($a.$field.stddev)),
+            (concat!(stringify!($field), "_min"), FieldValue::F64($a.$field.min)),
+            (concat!(stringify!($field), "_max"), FieldValue::F64($a.$field.max)),
+        )*]
     };
-    stat("throughput", &a.throughput);
-    stat("mean_access_ns", &a.mean_access_ns);
-    stat("p95_write_ns", &a.p95_write_ns);
-    stat("p999_write_ns", &a.p999_write_ns);
-    stat("offered_per_sec", &a.offered_per_sec);
-    stat("shed_rate", &a.shed_rate);
-    o.finish()
+}
+
+/// One aggregate's `--json` row (`"kind":"seed_aggregate"`), written
+/// after the per-replica run records.
+pub(crate) fn aggregate_row(a: &SeedAggregate) -> impl Iterator<Item = Column<'_>> {
+    use FieldValue::{Str, U64};
+    [
+        ("kind", Str("seed_aggregate".into())),
+        ("index", U64(a.index as u64)),
+        ("label", Str(a.label.as_str().into())),
+        ("consistency", Str(a.model.consistency.to_string().into())),
+        ("persistency", Str(a.model.persistency.to_string().into())),
+        ("seeds", U64(u64::from(a.seeds))),
+    ]
+    .into_iter()
+    .chain(stat_columns!(a:
+        throughput, mean_access_ns, p95_write_ns, p999_write_ns, offered_per_sec, shed_rate
+    ))
 }
 
 #[cfg(test)]
@@ -306,7 +311,7 @@ mod tests {
     #[test]
     fn aggregate_json_row_is_tagged() {
         let (_, aggregates) = run_seeded(2, 2);
-        let line = aggregate_to_json(&aggregates[0]);
+        let line = crate::json::to_json(aggregate_row(&aggregates[0]));
         assert!(line.contains("\"kind\":\"seed_aggregate\""), "{line}");
         assert!(line.contains("\"seeds\":2"), "{line}");
         assert!(line.contains("\"throughput_mean\":"), "{line}");

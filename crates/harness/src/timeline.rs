@@ -7,45 +7,66 @@
 //! simulation output, so the stream is byte-identical at any
 //! `--threads N`.
 
-use ddp_core::{TimelineDump, TimelineWindow};
+use ddp_core::{FieldValue, TimelineDump, TimelineWindow};
 
-use crate::json::JsonObject;
+use crate::fields::Column;
+use crate::json::to_json;
 
-/// Serializes one timeline window as a single JSON object (one line of
-/// the `--timeline` stream). `trial` is the grid index of the run and
+/// One timeline window's row: the identity columns, then
+/// [`TimelineWindow::columns`]. `trial` is the grid index of the run and
 /// `window` the window's position in the dump.
-#[must_use]
-pub fn timeline_window_to_json(trial: usize, window: usize, w: &TimelineWindow) -> String {
-    let mut o = JsonObject::new();
-    o.u64("trial", trial as u64);
-    o.str("kind", "timeline_window");
-    o.u64("window", window as u64);
-    for (name, value) in w.columns() {
-        o.u64(name, value);
-    }
-    o.finish()
+pub(crate) fn timeline_window_row(
+    trial: usize,
+    window: usize,
+    w: &TimelineWindow,
+) -> impl Iterator<Item = Column<'static>> {
+    use FieldValue::{Str, U64};
+    [
+        ("trial", U64(trial as u64)),
+        ("kind", Str("timeline_window".into())),
+        ("window", U64(window as u64)),
+    ]
+    .into_iter()
+    .chain(w.columns().into_iter().map(|(name, v)| (name, U64(v))))
 }
 
-/// The closing line of one trial's timeline stream: window geometry and
+/// The closing row of one trial's timeline stream: window geometry and
 /// how many events were folded into the final window by the cap.
+pub(crate) fn timeline_end_row<'a>(
+    trial: usize,
+    label: &'a str,
+    dump: &TimelineDump,
+) -> [Column<'a>; 8] {
+    use FieldValue::{Str, U64};
+    [
+        ("trial", U64(trial as u64)),
+        ("kind", Str("timeline_end".into())),
+        ("label", Str(label.into())),
+        ("window_ns", U64(dump.window_ns)),
+        ("origin_ns", U64(dump.origin_ns)),
+        ("end_ns", U64(dump.end_ns)),
+        ("windows", U64(dump.windows.len() as u64)),
+        ("clipped", U64(dump.clipped)),
+    ]
+}
+
+/// Serializes one timeline window as a single JSON object (one line of
+/// the `--timeline` stream).
+#[must_use]
+pub fn timeline_window_to_json(trial: usize, window: usize, w: &TimelineWindow) -> String {
+    to_json(timeline_window_row(trial, window, w))
+}
+
+/// Serializes the closing `timeline_end` line of one trial's timeline
+/// stream.
 #[must_use]
 pub fn timeline_end_to_json(trial: usize, label: &str, dump: &TimelineDump) -> String {
-    let mut o = JsonObject::new();
-    o.u64("trial", trial as u64);
-    o.str("kind", "timeline_end");
-    o.str("label", label);
-    o.u64("window_ns", dump.window_ns);
-    o.u64("origin_ns", dump.origin_ns);
-    o.u64("end_ns", dump.end_ns);
-    o.u64("windows", dump.windows.len() as u64);
-    o.u64("clipped", dump.clipped);
-    o.finish()
+    to_json(timeline_end_row(trial, label, dump))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::shard_line;
     use ddp_core::{ClusterConfig, DdpModel, Simulation, TraceConfig};
     use ddp_sim::Duration;
 
@@ -94,13 +115,15 @@ mod tests {
 
     #[test]
     fn fleet_lines_prepend_the_shard_and_change_nothing_else() {
+        let shard = |s: u64| std::iter::once(("shard", FieldValue::U64(s)));
         let dump = dump();
         let base = timeline_window_to_json(2, 0, &dump.windows[0]);
-        let sharded = shard_line(3, &base);
+        let sharded = to_json(shard(3).chain(timeline_window_row(2, 0, &dump.windows[0])));
         assert_eq!(sharded, format!("{{\"shard\":3,{}", &base[1..]));
 
-        let end = shard_line(1, &timeline_end_to_json(0, "<Lin,Sync>", &dump));
-        assert!(end.starts_with("{\"shard\":1,\"trial\":0,"), "{end}");
+        let base = timeline_end_to_json(0, "<Lin,Sync>", &dump);
+        let end = to_json(shard(1).chain(timeline_end_row(0, "<Lin,Sync>", &dump)));
+        assert_eq!(end, format!("{{\"shard\":1,{}", &base[1..]));
         assert!(end.contains("\"kind\":\"timeline_end\""), "{end}");
     }
 }

@@ -8,48 +8,68 @@
 //! written in grid order, so the stream is byte-identical at any
 //! `--threads N`.
 
-use ddp_core::{Slot, StallCause, TraceDump, TraceRecord};
+use ddp_core::{FieldValue, Slot, StallCause, TraceDump, TraceRecord};
 
-use crate::json::JsonObject;
+use crate::fields::Column;
+use crate::json::to_json;
 
-/// Serializes one trace event as a single JSON object (one line of the
-/// `--trace` stream). `trial` is the grid index of the run the event
-/// belongs to.
-#[must_use]
-pub fn trace_event_to_json(trial: usize, r: &TraceRecord) -> String {
-    let mut o = JsonObject::new();
-    o.u64("trial", trial as u64);
-    o.str("kind", r.kind.name());
-    o.u64("seq", r.seq);
-    o.u64("at_ns", r.at_ns);
-    o.u64("node", u64::from(r.node));
-    for &(field, slot) in r.kind.payload() {
-        match slot {
-            Slot::Cause => o.str(field, StallCause(r.word(slot)).name()),
-            _ => o.u64(field, r.word(slot)),
-        }
-    }
-    o.finish()
+/// One trace event's row: the identity columns, then the kind's named
+/// payload words. `trial` is the grid index of the run the event belongs
+/// to.
+pub(crate) fn trace_event_row(
+    trial: usize,
+    r: &TraceRecord,
+) -> impl Iterator<Item = Column<'static>> {
+    use FieldValue::{Str, U64};
+    let r = *r;
+    let payload = r.kind.payload().iter().map(move |&(field, slot)| {
+        let value = match slot {
+            Slot::Cause => Str(StallCause(r.word(slot)).name().into()),
+            _ => U64(r.word(slot)),
+        };
+        (field, value)
+    });
+    [
+        ("trial", U64(trial as u64)),
+        ("kind", Str(r.kind.name().into())),
+        ("seq", U64(r.seq)),
+        ("at_ns", U64(r.at_ns)),
+        ("node", U64(u64::from(r.node))),
+    ]
+    .into_iter()
+    .chain(payload)
 }
 
-/// The closing line of one trial's trace stream: how many events survived
+/// The closing row of one trial's trace stream: how many events survived
 /// the ring and how many were overwritten (`dropped` > 0 means the ring
 /// capacity was smaller than the run's event count).
+pub(crate) fn trace_end_row<'a>(trial: usize, label: &'a str, dump: &TraceDump) -> [Column<'a>; 5] {
+    use FieldValue::{Str, U64};
+    [
+        ("trial", U64(trial as u64)),
+        ("kind", Str("trace_end".into())),
+        ("label", Str(label.into())),
+        ("events", U64(dump.events.len() as u64)),
+        ("dropped", U64(dump.dropped)),
+    ]
+}
+
+/// Serializes one trace event as a single JSON object (one line of the
+/// `--trace` stream).
+#[must_use]
+pub fn trace_event_to_json(trial: usize, r: &TraceRecord) -> String {
+    to_json(trace_event_row(trial, r))
+}
+
+/// Serializes the closing `trace_end` line of one trial's trace stream.
 #[must_use]
 pub fn trace_end_to_json(trial: usize, label: &str, dump: &TraceDump) -> String {
-    let mut o = JsonObject::new();
-    o.u64("trial", trial as u64);
-    o.str("kind", "trace_end");
-    o.str("label", label);
-    o.u64("events", dump.events.len() as u64);
-    o.u64("dropped", dump.dropped);
-    o.finish()
+    to_json(trace_end_row(trial, label, dump))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::shard_line;
     use ddp_core::TraceEventKind;
 
     fn rec(kind: TraceEventKind) -> TraceRecord {
@@ -122,17 +142,20 @@ mod tests {
 
     #[test]
     fn fleet_lines_prepend_the_shard_and_change_nothing_else() {
-        let base = trace_event_to_json(2, &rec(TraceEventKind::WriteDp));
-        let sharded = shard_line(3, &base);
+        let shard = |s: u64| std::iter::once(("shard", FieldValue::U64(s)));
+        let event = rec(TraceEventKind::WriteDp);
+        let base = trace_event_to_json(2, &event);
+        let sharded = to_json(shard(3).chain(trace_event_row(2, &event)));
         assert_eq!(sharded, format!("{{\"shard\":3,{}", &base[1..]));
 
         let dump = TraceDump {
             events: Vec::new(),
             dropped: 0,
         };
-        let end = shard_line(1, &trace_end_to_json(0, "<Lin,Sync>", &dump));
+        let base = trace_end_to_json(0, "<Lin,Sync>", &dump);
+        let end = to_json(shard(1).chain(trace_end_row(0, "<Lin,Sync>", &dump)));
+        assert_eq!(end, format!("{{\"shard\":1,{}", &base[1..]));
         assert!(end.starts_with("{\"shard\":1,\"trial\":0,"), "{end}");
-        assert!(end.contains("\"kind\":\"trace_end\""), "{end}");
     }
 
     #[test]

@@ -134,15 +134,25 @@ impl TimelineWindow {
         self.lag.max().as_nanos()
     }
 
+    /// The six latency phases of this window as `(name, total ns)`, in
+    /// field order: `service`, `queue`, `network`, `persist_stall`,
+    /// `nvm_queue`, `read_stall`.
+    #[must_use]
+    pub fn phases(&self) -> [(&'static str, u64); 6] {
+        [
+            ("service", self.service_ns),
+            ("queue", self.queue_ns),
+            ("network", self.network_ns),
+            ("persist_stall", self.persist_stall_ns),
+            ("nvm_queue", self.nvm_queue_ns),
+            ("read_stall", self.read_stall_ns),
+        ]
+    }
+
     /// Total nanoseconds attributed across the six phases in this window.
     #[must_use]
     pub fn phase_total_ns(&self) -> u64 {
-        self.service_ns
-            + self.queue_ns
-            + self.network_ns
-            + self.persist_stall_ns
-            + self.nvm_queue_ns
-            + self.read_stall_ns
+        self.phases().iter().map(|&(_, ns)| ns).sum()
     }
 
     /// The ordered `(name, value)` column list of this window — the
@@ -629,6 +639,11 @@ mod tests {
         t.read_stall(1_030, Duration::from_nanos(6));
         let dump = t.take();
         assert_eq!(dump.windows[0].phase_total_ns(), 21);
+        let names = dump.windows[0].phases().map(|(name, _)| name);
+        let columns = dump.windows[0].columns().map(|(name, _)| name);
+        for name in names {
+            assert!(columns.contains(&format!("{name}_ns").as_str()), "{name}");
+        }
         assert_eq!(dump.windows[0].persists_issued, 1);
     }
 
